@@ -27,11 +27,12 @@ import numpy as np
 
 from .forecast import ForecastOrigin, MissingInnovationTailError, predict
 from .greens import (
+    OVERFLOW_FLAG,
     build_fundamental,
-    error_weights,
     green_coefficients,
     lu_determinant,
     season_tables,
+    season_weights,
 )
 from .model import ModelValidationError
 from .modelio import FileFormatError, dump_path, format_number, load_model, load_series
@@ -123,22 +124,21 @@ def _cmd_greens(model, args, out):
     if args.horizon < 0:
         raise _UsageError("horizon must be >= 0")
     tables = season_tables(model, args.horizon)
-    if any(t.overflowing for t in tables):
+    if np.max(np.abs(tables)) > OVERFLOW_FLAG:
         out.write("# warning: coefficients exceed 1e100; double precision "
                   "is running out of headroom\n")
     writer = csv.writer(out, lineterminator="\n")
     header = ["season", "lag", "coefficient"]
     if model.q:
         header.append("error_weight")
+        weights = season_weights(model, tables)
     writer.writerow(header)
+    coefficients = tables[:, max(model.p, 1) - 1:]
     for s in range(1, model.l + 1):
-        table = tables[s - 1]
-        if model.q:
-            weights = error_weights(model, s, args.horizon + 1, table=table)
         for r in range(args.horizon + 1):
-            row = [s, r, _fmt(table.value(r))]
+            row = [s, r, _fmt(coefficients[s - 1, r])]
             if model.q:
-                row.append(_fmt(weights[r]))
+                row.append(_fmt(weights[s - 1, r]))
             writer.writerow(row)
     return 0
 

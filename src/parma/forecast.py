@@ -17,6 +17,11 @@ error-weight sequence (the Green coefficients themselves when q = 0), so
 Because the innovation variance is periodic, mse(h) need not be monotone
 in h.  All weights anchor at the *target* time, not the origin; the report
 records each target season to make that explicit.
+
+The ``min(H, l)`` target seasons' tables and error weights are built once,
+vectorized; horizon ``h`` reads the first ``h`` weights of its target's row.
+``predict`` on a daily model (l = 365, p = 4, q = 2) takes 8-15 ms to
+H = 365 and 0.35-0.6 ms to H = 14 (2-core 2.1 GHz Xeon VM, two speed phases).
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import GreenTable, error_weights, green_coefficients, known_innovation_weights
-from .model import PeriodicModel, validate
+from .greens import error_weights, known_weight_rows, season_tables, season_weights
+from .model import PeriodicModel, backwards, validate
+from .solution import homogeneous_coefficients
 
 __all__ = [
     "ForecastOrigin",
@@ -118,29 +124,25 @@ class ForecastReport:
         return point - half, point + half
 
 
-def _season_tables(model: PeriodicModel, origin: int, max_h: int) -> dict[int, GreenTable]:
-    """Green tables keyed by season for every target ``origin+1 .. origin+max_h``."""
-    tables: dict[int, GreenTable] = {}
-    for h in range(1, max_h + 1):
-        s = model.season(origin + h)
-        if s not in tables:
-            tables[s] = green_coefficients(model, origin + h, max_h)
-        if len(tables) == model.l:
-            break
-    return tables
+def _target_rows(model: PeriodicModel, origin_time: int, max_horizon: int):
+    """Tables and error weights of targets ``origin+1 .. origin+min(H, l)``;
+    target ``origin + h`` reads row ``rows[h-1]`` of both."""
+    if max_horizon < 1:
+        raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
+    targets = origin_time + np.arange(1, min(max_horizon, model.l) + 1)
+    tables = season_tables(model, max_horizon, targets)
+    weights = season_weights(model, tables, targets)
+    weights.flags.writeable = False  # the report hands out views of it
+    return tables, weights, np.arange(max_horizon) % model.l
 
 
-def _sigma2_backwards(model: PeriodicModel, t: int, n: int) -> np.ndarray:
-    """``sigma2`` at times ``t, t-1, ..., t-n+1``."""
-    s0 = model.clock.season0(t)
-    idx = (s0 - np.arange(n)) % model.l
-    return model.sigma2[idx]
-
-
-def _drift_backwards(model: PeriodicModel, t: int, n: int) -> np.ndarray:
-    s0 = model.clock.season0(t)
-    idx = (s0 - np.arange(n)) % model.l
-    return model.drift[idx]
+def _mses(model: PeriodicModel, origin_time: int, weights: np.ndarray,
+          rows: np.ndarray) -> np.ndarray:
+    horizon = len(rows)
+    sigma2 = backwards(model.sigma2, origin_time + horizon, horizon)
+    squares = weights * weights
+    return np.array([np.dot(squares[r, :h], sigma2[horizon - h:])
+                     for h, r in enumerate(rows.tolist(), start=1)])
 
 
 def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> ForecastReport:
@@ -152,47 +154,33 @@ def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> F
         When ``q >= 1`` and the origin carries no innovation tail.
     """
     _check_origin(model, origin)
-    if max_horizon < 1:
-        raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
-    tau = origin.time
-    view = model.view()
-    tables = _season_tables(model, tau, max_horizon)
+    tau, p = origin.time, model.p
+    tables, weights, rows = _target_rows(model, tau, max_horizon)
+    pad = max(p, 1) - 1
+    g = tables[:, pad:]
+    hs = np.arange(1, max_horizon + 1)
+    pairs = list(enumerate(rows.tolist(), start=1))
 
-    points = np.zeros(max_horizon)
-    mses = np.zeros(max_horizon)
+    drift = backwards(model.drift, tau + max_horizon, max_horizon)
+    points = np.array([np.dot(g[r, :h], drift[max_horizon - h:]) for h, r in pairs])
+    if p:
+        points += g[rows, hs] * origin.tail[0]
+        for m, coefs in enumerate(homogeneous_coefficients(model, tau), start=1):
+            acc = np.zeros(max_horizon)
+            for i, c in enumerate(coefs, start=1):
+                acc += c * tables[rows, pad + hs - i]  # lag h-i may be a seed
+            points += acc * origin.tail[m]
     adjustments = np.zeros(max_horizon)
-    weights: list[np.ndarray] = []
-    seasons = np.zeros(max_horizon, dtype=int)
+    if model.q:
+        known = known_weight_rows(model, tau + hs, hs, g, rows)
+        adjustments = np.array([np.dot(w, origin.innovations) for w in known])
+        points += adjustments
 
-    for h in range(1, max_horizon + 1):
-        t = tau + h
-        seasons[h - 1] = model.season(t)
-        table = tables[model.season(t)]
-        g = table.nonnegative
-
-        point = float(np.dot(g[:h], _drift_backwards(model, t, h)))
-        if model.p:
-            point += table.value(h) * origin.tail[0]
-            for m in range(1, model.p):
-                acc = 0.0
-                for i in range(1, model.p - m + 1):
-                    acc += view.ar(m + i, tau + i) * table.value(h - i)
-                point += acc * origin.tail[m]
-        if model.q:
-            w_known = known_innovation_weights(model, t, h, table=table)
-            adj = float(np.dot(w_known, origin.innovations))
-            adjustments[h - 1] = adj
-            point += adj
-
-        w = error_weights(model, t, h, table=table)
-        weights.append(w)
-        mses[h - 1] = float(np.dot(w * w, _sigma2_backwards(model, t, h)))
-        points[h - 1] = point
-
-    return ForecastReport(origin=tau, points=points, mses=mses,
-                          error_weights=tuple(weights),
-                          known_adjustments=adjustments,
-                          target_seasons=seasons)
+    return ForecastReport(
+        origin=tau, points=points, mses=_mses(model, tau, weights, rows),
+        error_weights=tuple(weights[r, :h] for h, r in pairs),
+        known_adjustments=adjustments,
+        target_seasons=(tau + hs - 1) % model.l + 1)
 
 
 def forecast_error_coeffs(model: PeriodicModel, target: int, horizon: int) -> np.ndarray:
@@ -214,12 +202,5 @@ def mse_profile(model: PeriodicModel, origin_time: int, max_horizon: int) -> np.
     the periodic variance schedule enter.
     """
     validate(model)
-    if max_horizon < 1:
-        raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
-    out = np.zeros(max_horizon)
-    tables = _season_tables(model, origin_time, max_horizon)
-    for h in range(1, max_horizon + 1):
-        t = origin_time + h
-        w = error_weights(model, t, h, table=tables[model.season(t)])
-        out[h - 1] = float(np.dot(w * w, _sigma2_backwards(model, t, h)))
-    return out
+    _, weights, rows = _target_rows(model, origin_time, max_horizon)
+    return _mses(model, origin_time, weights, rows)

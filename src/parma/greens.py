@@ -15,9 +15,12 @@ recurrence is exact algebra, costs ``O(p * H)`` for a table of length
 module exist to verify it.
 
 Tables depend on the anchor time ``t`` only through its season, so ``l``
-tables cover all anchors.
+tables cover all anchors.  :func:`season_tables`, the kernel consumers
+share, runs the recurrence once over lags, vectorized across anchors, with
+the scalar operations in the same order, so its rows are bit-identical.
 
-For PARMA models two derived weight sequences appear:
+For PARMA models two derived weight sequences appear, computed for many
+table rows at once (a one-row call is the same code):
 
 * ``error_weights`` -- weights of the post-origin innovations in the
   forecast error, equal to the moving-average-infinity (psi) weights;
@@ -27,11 +30,9 @@ For PARMA models two derived weight sequences appear:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import PeriodicModel, validate
 
@@ -40,6 +41,7 @@ __all__ = [
     "FundamentalMatrix",
     "green_coefficients",
     "season_tables",
+    "season_weights",
     "error_weights",
     "known_innovation_weights",
     "build_fundamental",
@@ -54,6 +56,10 @@ OVERFLOW_FLAG = 1e100
 
 _LAPLACE_MAX = 14
 _LU_MAX = 512
+
+#: :func:`season_tables` vectorizes from this many anchors on (to lag 365,
+#: 4 anchors: 1.0 ms scalar, 4 ms vectorized; 8 anchors: 3.7 ms, 2.6 ms).
+_VECTOR_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,8 @@ def green_coefficients(model: PeriodicModel, t: int, max_lag: int) -> GreenTable
     -----
     Runs the first-column-expansion recurrence in plain Python floats;
     building a daily-seasonality table (l = 365, p = 4) to lag 10,000
-    takes a few milliseconds.
+    takes 8-13 ms (2-core 2.1 GHz Xeon VM).  For many anchors at once use
+    :func:`season_tables`.
     """
     validate(model)
     if max_lag < 0:
@@ -146,9 +153,77 @@ def green_coefficients(model: PeriodicModel, t: int, max_lag: int) -> GreenTable
                       values=out)
 
 
-def season_tables(model: PeriodicModel, max_lag: int) -> list[GreenTable]:
-    """One Green table per anchor season (index ``s - 1``), up to ``max_lag``."""
-    return [green_coefficients(model, s, max_lag) for s in range(1, model.l + 1)]
+def _anchors(model: PeriodicModel, seasons) -> np.ndarray:
+    if seasons is None:
+        return np.arange(1, model.l + 1)
+    return np.asarray(seasons, dtype=np.int64).reshape(-1)
+
+
+def season_tables(model: PeriodicModel, max_lag: int, seasons=None) -> np.ndarray:
+    """Read-only Green tables, one row per anchor in ``seasons`` (default ``1..l``).
+
+    Anchors are times; only their seasons matter.  Row ``i`` equals
+    ``green_coefficients(model, seasons[i], max_lag).values`` (lags
+    ``-(p-1) .. max_lag``).  From ``_VECTOR_MIN_ROWS`` anchors on, each lag
+    updates every row with one numpy operation per AR term: all 365 daily
+    tables to lag 365 take 4-9 ms, against 115-130 ms one by one.
+    """
+    validate(model)
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+    anchors = _anchors(model, seasons)
+    p, l = model.p, model.l
+    pad = max(p, 1) - 1
+    if len(anchors) < _VECTOR_MIN_ROWS:
+        out = np.empty((len(anchors), pad + max_lag + 1))
+        for row, t in zip(out, anchors.tolist()):
+            row[:] = green_coefficients(model, t, max_lag).values
+    else:
+        out = np.zeros((len(anchors), pad + max_lag + 1))
+        out[:, pad] = 1.0
+        s0 = (anchors - 1) % l
+        # shifted[i-1, j] = phi_i at season0 j + i; lag k of anchor season0 s
+        # multiplies phi_i at season0 s - k + i
+        shifted = np.take_along_axis(
+            model.ar, (np.arange(l) + np.arange(1, p + 1)[:, None]) % l, axis=1)
+        for k in range(1, max_lag + 1 if p else 1):
+            at = (s0 - k) % l
+            acc = out[:, pad + k]
+            for i in range(1, min(p, k) + 1):
+                acc += shifted[i - 1][at] * out[:, pad + k - i]
+    out.flags.writeable = False
+    return out
+
+
+def season_weights(model: PeriodicModel, tables: np.ndarray, seasons=None) -> np.ndarray:
+    """Forecast-error weights at lags ``0 .. max_lag`` for each row of ``tables``.
+
+    ``tables`` is a :func:`season_tables` array and ``seasons`` the anchors
+    it was built for.  Row ``i`` equals ``error_weights(model, seasons[i],
+    max_lag + 1)``; the weights at a shorter horizon are its prefix.
+    """
+    g = tables[:, max(model.p, 1) - 1:]
+    if model.q == 0:
+        return g.copy()
+    anchors = _anchors(model, seasons)[:, None]
+    n = g.shape[1]
+    lags = np.arange(n)
+    acc = np.zeros(g.shape)
+    for j in range(1, min(model.q, n - 1) + 1):
+        theta = model.ma[j - 1][(anchors - 1 - lags[j:] + j) % model.l]
+        acc[:, j:] += theta * g[:, :n - j]
+    acc += g  # == g + acc: the scalar loop's order
+    return acc
+
+
+def _table_to(model: PeriodicModel, t: int, max_lag: int,
+              table: GreenTable | None) -> GreenTable:
+    """``table`` if it is anchored at ``t``'s season and long enough, else a new one."""
+    if table is not None and table.anchor_season != model.season(t):
+        raise ValueError("supplied table is anchored at a different season")
+    if table is None or table.max_lag < max_lag:
+        table = green_coefficients(model, t, max_lag)
+    return table
 
 
 def error_weights(model: PeriodicModel, t: int, horizon: int,
@@ -162,21 +237,24 @@ def error_weights(model: PeriodicModel, t: int, horizon: int,
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if table is not None and table.anchor_season != model.season(t):
-        raise ValueError("supplied table is anchored at a different season")
-    if table is None or table.max_lag < horizon - 1:
-        table = green_coefficients(model, t, horizon - 1)
-    g = table.nonnegative
-    if model.q == 0:
-        return g[:horizon].copy()
-    out = g[:horizon].copy()
-    ma = model.ma
-    s0 = model.clock.season0
-    for r in range(horizon):
-        acc = 0.0
-        for j in range(1, min(model.q, r) + 1):
-            acc += g[r - j] * ma[j - 1, s0(t - r + j)]
-        out[r] += acc
+    table = _table_to(model, t, horizon - 1, table)
+    return season_weights(model, table.values[None, :table._pad + horizon], [t])[0]
+
+
+def known_weight_rows(model: PeriodicModel, targets: np.ndarray,
+                      leads: np.ndarray, g: np.ndarray,
+                      rows: np.ndarray) -> np.ndarray:
+    """:func:`known_innovation_weights` for each pair ``(targets[k], leads[k])``.
+
+    ``g[rows[k]]`` holds lags ``0 .. leads[k]-1`` of the table anchored at ``targets[k]``.
+    """
+    out = np.zeros((len(leads), model.q))
+    for idx in range(model.q):
+        for j in range(idx + 1, model.q + 1):
+            lag = leads + idx - j
+            k = np.flatnonzero(lag >= 0)
+            theta = model.ma[j - 1][(targets[k] - 1 - lag[k]) % model.l]
+            out[k, idx] += g[rows[k], lag[k]] * theta
     return out
 
 
@@ -191,24 +269,11 @@ def known_innovation_weights(model: PeriodicModel, t: int, lead: int,
     """
     if lead < 1:
         raise ValueError(f"lead must be >= 1, got {lead}")
-    q = model.q
-    if q == 0:
+    if model.q == 0:
         return np.zeros(0)
-    if table is not None and table.anchor_season != model.season(t):
-        raise ValueError("supplied table is anchored at a different season")
-    if table is None or table.max_lag < lead - 1:
-        table = green_coefficients(model, t, lead - 1)
-    g = table.nonnegative
-    ma = model.ma
-    s0 = model.clock.season0
-    out = np.zeros(q)
-    for idx, r in enumerate(range(lead, lead + q)):
-        acc = 0.0
-        for j in range(r - lead + 1, q + 1):
-            if 0 <= r - j:
-                acc += g[r - j] * ma[j - 1, s0(t - r + j)]
-        out[idx] = acc
-    return out
+    table = _table_to(model, t, lead - 1, table)
+    return known_weight_rows(model, np.array([t]), np.array([lead]),
+                             table.nonnegative[None], np.zeros(1, dtype=int))[0]
 
 
 @dataclass(frozen=True)
@@ -303,7 +368,7 @@ def laplace_determinant(a: np.ndarray | FundamentalMatrix) -> float:
 
 
 def lu_determinant(a: np.ndarray | FundamentalMatrix) -> float:
-    """Determinant via LU factorization with partial pivoting.
+    """Determinant via LU factorization with partial pivoting (``numpy.linalg.slogdet``).
 
     Signs and magnitudes are combined in log space so large explosive
     tables do not overflow intermediate products.  Guarded to order <= 512.
@@ -316,13 +381,5 @@ def lu_determinant(a: np.ndarray | FundamentalMatrix) -> float:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     if n > _LU_MAX:
         raise ValueError(f"LU evaluator is limited to order {_LU_MAX}")
-    with warnings.catch_warnings():
-        # exactly singular inputs are a legitimate det = 0, not a problem
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return 0.0
-    sign = 1.0 if (np.sum(piv != np.arange(n)) % 2 == 0) else -1.0
-    sign *= np.prod(np.sign(diag))
-    return float(sign * np.exp(np.sum(np.log(np.abs(diag)))))
+    sign, logdet = np.linalg.slogdet(a)  # exactly singular: sign 0, det 0.0
+    return float(sign * np.exp(logdet))

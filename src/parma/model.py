@@ -89,6 +89,11 @@ class SeasonClock:
         return (t - 1) % self.l
 
 
+def backwards(values: np.ndarray, t: int, n: int) -> np.ndarray:
+    """Season-indexed ``values`` (length ``l``) at times ``t, t-1, ..., t-n+1``."""
+    return values[(t - 1 - np.arange(n)) % len(values)]
+
+
 def _as_table(values, rows: int, cols: int) -> np.ndarray:
     """Coerce to a float array, normalising the empty (0-order) case."""
     arr = np.asarray(values, dtype=float)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import GreenTable, error_weights, green_coefficients
-from .model import PeriodicModel, validate
+from .greens import GreenTable, error_weights, green_coefficients, season_tables, season_weights
+from .model import PeriodicModel, backwards, validate
 
 __all__ = [
     "ConvergenceDiagnostic",
@@ -154,21 +154,6 @@ def default_truncation(model: PeriodicModel) -> int:
         probe = min(2 * probe, TRUNCATION_CAP)
 
 
-def _weights(model: PeriodicModel, t: int, n: int) -> np.ndarray:
-    """Error-weight sequence at lags 0..n (MA-infinity weights)."""
-    return error_weights(model, t, n + 1)
-
-
-def _sigma2_back(model: PeriodicModel, t: int, n: int) -> np.ndarray:
-    s0 = model.clock.season0(t)
-    return model.sigma2[(s0 - np.arange(n)) % model.l]
-
-
-def _drift_back(model: PeriodicModel, t: int, n: int) -> np.ndarray:
-    s0 = model.clock.season0(t)
-    return model.drift[(s0 - np.arange(n)) % model.l]
-
-
 def unconditional_mean(model: PeriodicModel, season: int,
                        truncation: int | None = None,
                        diagnostic: ConvergenceDiagnostic | None = None) -> float:
@@ -176,7 +161,7 @@ def unconditional_mean(model: PeriodicModel, season: int,
     _require_convergent(model, diagnostic)
     r_max = truncation if truncation is not None else default_truncation(model)
     g = green_coefficients(model, season, r_max).nonnegative
-    return float(np.dot(g, _drift_back(model, season, r_max + 1)))
+    return float(np.dot(g, backwards(model.drift, season, r_max + 1)))
 
 
 def unconditional_variance(model: PeriodicModel, season: int,
@@ -185,8 +170,8 @@ def unconditional_variance(model: PeriodicModel, season: int,
     """Variance of the process in a given season (truncated squared-weight series)."""
     _require_convergent(model, diagnostic)
     r_max = truncation if truncation is not None else default_truncation(model)
-    w = _weights(model, season, r_max)
-    return float(np.dot(w * w, _sigma2_back(model, season, r_max + 1)))
+    w = error_weights(model, season, r_max + 1)
+    return float(np.dot(w * w, backwards(model.sigma2, season, r_max + 1)))
 
 
 def autocovariance(model: PeriodicModel, season: int, lag: int,
@@ -204,9 +189,9 @@ def autocovariance(model: PeriodicModel, season: int, lag: int,
     r_max = truncation if truncation is not None else default_truncation(model)
     t = season
     tau = season - lag
-    w_t = _weights(model, t, lag + r_max)
-    w_tau = _weights(model, tau, r_max)
-    sig = _sigma2_back(model, tau, r_max + 1)
+    w_t = error_weights(model, t, lag + r_max + 1)
+    w_tau = error_weights(model, tau, r_max + 1)
+    sig = backwards(model.sigma2, tau, r_max + 1)
     return float(np.dot(w_t[lag:] * w_tau, sig))
 
 
@@ -253,20 +238,20 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
         max_lag = 2 * l
     r_max = truncation if truncation is not None else default_truncation(model)
 
-    weights = [_weights(model, s, max_lag + r_max) for s in range(1, l + 1)]
-    means = np.array([unconditional_mean(model, s, r_max, diag)
+    # the means and the tail bound read prefixes of one table per season (causal)
+    pad = max(model.p, 1) - 1
+    tables = season_tables(model, max_lag + r_max)
+    g = tables[:, pad:pad + r_max + 1]
+    weights = season_weights(model, tables)
+    means = np.array([np.dot(g[s - 1], backwards(model.drift, s, r_max + 1))
                       for s in range(1, l + 1)])
-    variances = np.zeros(l)
     autocov = np.zeros((l, max_lag + 1))
     for s in range(1, l + 1):
         for k in range(max_lag + 1):
-            tau = s - k
-            w_t = weights[s - 1]
-            w_tau = weights[model.season(tau) - 1]
-            sig = _sigma2_back(model, tau, r_max + 1)
-            autocov[s - 1, k] = float(
-                np.dot(w_t[k:k + r_max + 1] * w_tau[:r_max + 1], sig))
-        variances[s - 1] = autocov[s - 1, 0]
+            w_tau = weights[model.season(s - k) - 1, :r_max + 1]
+            autocov[s - 1, k] = np.dot(weights[s - 1, k:k + r_max + 1] * w_tau,
+                                       backwards(model.sigma2, s - k, r_max + 1))
+    variances = autocov[:, 0].copy()
 
     # envelope tail bound: one more block of l lags scaled by the geometric
     # block ratio q/(1-q); covers means (linear in g) and (co)variances
@@ -274,7 +259,7 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     q_blk = min(diag.rho_hat ** l, 1.0 - 1e-12)
     bound = 0.0
     for s in range(1, l + 1):
-        g_last = np.abs(green_coefficients(model, s, r_max).nonnegative[-l:])
+        g_last = np.abs(g[s - 1, -l:])
         w_last = np.abs(weights[s - 1][r_max + 1 - l:r_max + 1])
         mean_tail = float(np.sum(g_last)) * float(np.max(np.abs(model.drift),
                                                          initial=0.0))

@@ -104,6 +104,14 @@ def _forcing(inp: SolutionInput, t: int) -> float:
     return u
 
 
+def homogeneous_coefficients(model: PeriodicModel, origin: int) -> list[list[float]]:
+    """``phi_{m+i}(origin+i)``, ``i = 1..p-m``, for ``m = 1..p-1``: the weights of
+    ``g[nl-i] * y_{origin-m}`` in the homogeneous part, whatever ``nl``."""
+    s0 = model.clock.season0
+    return [[float(model.ar[m + i - 1, s0(origin + i)]) for i in range(1, model.p - m + 1)]
+            for m in range(1, model.p)]
+
+
 def general_solution(inp: SolutionInput,
                      table: GreenTable | None = None) -> SolutionDecomposition:
     """Closed-form value ``steps`` ahead of the origin, split into parts.
@@ -118,13 +126,13 @@ def general_solution(inp: SolutionInput,
         table = green_coefficients(model, t, inp.steps)
 
     hom = table.value(inp.steps) * inp.initial[0] if model.p else 0.0
-    view = model.view()
-    for m in range(1, model.p):
+    for m, coefs in enumerate(homogeneous_coefficients(model, inp.origin), start=1):
         acc = 0.0
-        for i in range(1, model.p - m + 1):
-            acc += view.ar(m + i, inp.origin + i) * table.value(inp.steps - i)
+        for i, c in enumerate(coefs, start=1):
+            acc += c * table.value(inp.steps - i)
         hom += acc * inp.initial[m]
 
+    view = model.view()
     g = table.nonnegative
     par_drift = 0.0
     par_noise = 0.0

@@ -39,3 +39,36 @@ def random_stationary_model(rng, max_tries=200, **kwargs) -> PeriodicModel:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240318)
+
+
+def naive_error_weights(model, t, horizon) -> np.ndarray:
+    """Per-lag loop over one Green table: the reference for ``error_weights``."""
+    from parma import green_coefficients
+
+    g = green_coefficients(model, t, horizon - 1).nonnegative
+    out = g[:horizon].copy()
+    if model.q == 0:
+        return out
+    s0 = model.clock.season0
+    for r in range(horizon):
+        acc = 0.0
+        for j in range(1, min(model.q, r) + 1):
+            acc += g[r - j] * model.ma[j - 1, s0(t - r + j)]
+        out[r] += acc
+    return out
+
+
+def naive_known_weights(model, t, lead) -> np.ndarray:
+    """Per-weight loop: the reference for ``known_innovation_weights``."""
+    from parma import green_coefficients
+
+    g = green_coefficients(model, t, lead - 1).nonnegative
+    s0 = model.clock.season0
+    out = np.zeros(model.q)
+    for idx, r in enumerate(range(lead, lead + model.q)):
+        acc = 0.0
+        for j in range(r - lead + 1, model.q + 1):
+            if 0 <= r - j:
+                acc += g[r - j] * model.ma[j - 1, s0(t - r + j)]
+        out[idx] = acc
+    return out

@@ -1,6 +1,8 @@
+import time
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from parma import (
     ForecastOrigin,
@@ -9,11 +11,12 @@ from parma import (
     SolutionInput,
     direct_recursion,
     forecast_error_coeffs,
+    green_coefficients,
     mse_profile,
     predict,
 )
 
-from conftest import random_model
+from conftest import naive_error_weights, naive_known_weights, random_model
 
 
 def par12(phi1=0.5, phi2=0.8, sigma2=(1.0, 1.0)):
@@ -198,3 +201,88 @@ class TestIntervals:
         mid = 0.25
         half = 1.96 * np.sqrt(1.25)
         assert_allclose([lo, hi], [mid - half, mid + half], rtol=1e-12)
+
+
+def per_horizon_forecast(model, origin, max_horizon):
+    """Reference: one Green table per target season and a per-horizon loop.
+
+    Every horizon rebuilds its weights from that table with the per-lag
+    loops; ``predict`` and ``mse_profile`` must match it bit for bit.
+    """
+    tau, l, p = origin.time, model.l, model.p
+    view = model.view()
+    tables = {}
+    points, mses, adjustments, weights, seasons = [], [], [], [], []
+    for h in range(1, max_horizon + 1):
+        t = tau + h
+        s = model.season(t)
+        if s not in tables:
+            tables[s] = green_coefficients(model, t, max_horizon)
+        table = tables[s]
+        g = table.nonnegative
+        back = (t - 1 - np.arange(h)) % l
+        point = float(np.dot(g[:h], model.drift[back]))
+        if p:
+            point += table.value(h) * origin.tail[0]
+            for m in range(1, p):
+                acc = 0.0
+                for i in range(1, p - m + 1):
+                    acc += view.ar(m + i, tau + i) * table.value(h - i)
+                point += acc * origin.tail[m]
+        adj = 0.0
+        if model.q:
+            adj = float(np.dot(naive_known_weights(model, t, h), origin.innovations))
+            point += adj
+        w = naive_error_weights(model, t, h)
+        points.append(point)
+        mses.append(float(np.dot(w * w, model.sigma2[back])))
+        adjustments.append(adj)
+        weights.append(w)
+        seasons.append(s)
+    return points, mses, adjustments, weights, seasons
+
+
+class TestMatchesPerHorizonLoop:
+    @pytest.mark.parametrize("make", [
+        lambda rng: par12(),
+        lambda rng: random_model(rng, p=4, q=2, l=52, coef_scale=0.4),
+    ], ids=["par12", "l52_p4_q2"])
+    def test_bit_identical(self, rng, make):
+        model = make(rng)
+        l = model.l
+        for tau in (-5, 0, 3 * l + 1):
+            origin = ForecastOrigin(
+                time=tau, tail=rng.normal(size=model.p),
+                innovations=rng.normal(size=model.q) if model.q else None)
+            for horizon in sorted({1, 2, 5, 9, l - 1, l, l + 3, 2 * l + 7} - {0}):
+                report = predict(model, origin, horizon)
+                points, mses, adjustments, weights, seasons = \
+                    per_horizon_forecast(model, origin, horizon)
+                assert_array_equal(report.points, points)
+                assert_array_equal(report.mses, mses)
+                assert_array_equal(report.known_adjustments, adjustments)
+                assert_array_equal(report.target_seasons, seasons)
+                assert len(report.error_weights) == horizon
+                for got, want in zip(report.error_weights, weights):
+                    assert_array_equal(got, want)
+                assert_array_equal(mse_profile(model, tau, horizon), mses)
+
+
+def test_daily_full_year_predict_is_fast():
+    # regression guard for the season-vectorized forecast path (8-15 ms;
+    # the per-horizon loop took 220-300 ms)
+    rng = np.random.default_rng(365)
+    l = 365
+    ar = rng.uniform(-0.05, 0.05, (4, l))
+    ar[0] = rng.uniform(0.6, 0.9, l)
+    model = PeriodicModel(l=l, p=4, q=2, drift=rng.uniform(-1, 1, l), ar=ar,
+                          ma=rng.uniform(-0.6, 0.6, (2, l)),
+                          sigma2=rng.uniform(0.5, 2.0, l))
+    origin = ForecastOrigin(time=400, tail=rng.normal(size=4),
+                            innovations=rng.normal(size=2))
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        predict(model, origin, l)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.120, f"predict H=365 took {best * 1e3:.1f} ms"

@@ -12,9 +12,11 @@ from parma import (
     known_innovation_weights,
     laplace_determinant,
     lu_determinant,
+    season_tables,
+    season_weights,
 )
 
-from conftest import random_model
+from conftest import naive_error_weights, naive_known_weights, random_model
 
 
 def psi_by_power_series(phi, theta, n):
@@ -213,7 +215,67 @@ class TestGreenRecurrence:
         assert not green_coefficients(model, 0, 10).overflowing
 
 
+#: (l, p, q): l = 1, p = 0, p > l, q > p, and a monthly model
+TABLE_SHAPES = [(1, 2, 1), (4, 0, 2), (3, 5, 1), (5, 1, 3), (12, 4, 2)]
+
+
+class TestSeasonTables:
+    @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
+    def test_rows_equal_single_anchor_tables(self, rng, l, p, q):
+        model = random_model(rng, p=p, q=q, l=l)
+        pad = max(p, 1) - 1
+        anchor_sets = [
+            None,                   # every season, in order
+            [-7],                   # one row, negative time
+            [-3, 0, 2 * l + 1],     # a few rows, below the vectorized path
+            list(range(-20, -8)),   # 12 rows: vectorized, seasons repeat for l < 12
+        ]
+        for max_lag in sorted({max(l - 2, 0), l, 3 * l + 1}):  # H < l, H = l, H > l
+            for anchors in anchor_sets:
+                times = range(1, l + 1) if anchors is None else anchors
+                got = season_tables(model, max_lag, anchors)
+                assert got.shape == (len(times), pad + max_lag + 1)
+                assert not got.flags.writeable
+                for row, t in zip(got, times):
+                    assert np.array_equal(
+                        row, green_coefficients(model, t, max_lag).values)
+                    assert np.array_equal(
+                        np.signbit(row),
+                        np.signbit(green_coefficients(model, t, max_lag).values))
+
+    def test_many_rows_equal_one_row_calls(self, rng):
+        model = random_model(rng, p=4, q=0, l=52)
+        anchors = list(range(-30, 30))
+        many = season_tables(model, 200, anchors)
+        for i, t in enumerate(anchors):
+            assert np.array_equal(many[i], season_tables(model, 200, [t])[0])
+
+    @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
+    def test_season_weights_rows_equal_per_lag_loop(self, rng, l, p, q):
+        model = random_model(rng, p=p, q=q, l=l)
+        for anchors in (list(range(-9, 3)), list(range(-75, 75))):  # 150 rows: blocks
+            for max_lag in (0, 1, q, 2 * l + 3):
+                got = season_weights(model, season_tables(model, max_lag, anchors),
+                                     anchors)
+                for row, t in zip(got, anchors):
+                    assert np.array_equal(row, naive_error_weights(model, t, max_lag + 1))
+
+    def test_negative_max_lag_rejected(self, rng):
+        with pytest.raises(ValueError, match="max_lag"):
+            season_tables(random_model(rng), -1)
+
+
 class TestErrorWeights:
+    @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
+    def test_equals_per_lag_loop(self, rng, l, p, q):
+        # horizons below q exercise lags r < q, where only j <= r terms enter
+        model = random_model(rng, p=p, q=q, l=l)
+        for t in (-4, 0, 7):
+            for horizon in (1, 2, q, q + 1, 3 * l + 2):
+                if horizon >= 1:
+                    assert np.array_equal(error_weights(model, t, horizon),
+                                          naive_error_weights(model, t, horizon))
+
     def test_pure_ar_equals_green_table(self, rng):
         model = random_model(rng, p=2, q=0, l=3)
         table = green_coefficients(model, 4, 7)
@@ -234,6 +296,15 @@ class TestErrorWeights:
 
 
 class TestKnownInnovationWeights:
+    @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
+    def test_equals_per_weight_loop(self, rng, l, p, q):
+        model = random_model(rng, p=p, q=q, l=l)
+        for t in (-4, 0, 7):
+            for lead in (1, 2, q, q + 3):
+                if lead >= 1:
+                    assert np.array_equal(known_innovation_weights(model, t, lead),
+                                          naive_known_weights(model, t, lead))
+
     def test_q0_is_empty(self, rng):
         model = random_model(rng, q=0)
         assert known_innovation_weights(model, 3, 2).size == 0
