@@ -20,7 +20,6 @@ from .greens import (
     laplace_determinant,
     lu_determinant,
     season_tables,
-    season_weights,
 )
 from .solution import SolutionDecomposition, SolutionInput, direct_recursion, general_solution
 from .forecast import (

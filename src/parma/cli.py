@@ -28,11 +28,11 @@ import numpy as np
 from .forecast import ForecastOrigin, MissingInnovationTailError, predict
 from .greens import (
     OVERFLOW_FLAG,
+    _season_weights,
     build_fundamental,
     green_coefficients,
     lu_determinant,
     season_tables,
-    season_weights,
 )
 from .model import ModelValidationError
 from .modelio import FileFormatError, dump_path, format_number, load_model, load_series
@@ -127,19 +127,13 @@ def _cmd_greens(model, args, out):
     if np.max(np.abs(tables)) > OVERFLOW_FLAG:
         out.write("# warning: coefficients exceed 1e100; double precision "
                   "is running out of headroom\n")
-    writer = csv.writer(out, lineterminator="\n")
-    header = ["season", "lag", "coefficient"]
-    if model.q:
-        header.append("error_weight")
-        weights = season_weights(model, tables)
-    writer.writerow(header)
     coefficients = tables[:, max(model.p, 1) - 1:]
+    columns = [coefficients, _season_weights(model, tables)] if model.q else [coefficients]
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["season", "lag", "coefficient", "error_weight"][:len(columns) + 2])
     for s in range(1, model.l + 1):
         for r in range(args.horizon + 1):
-            row = [s, r, _fmt(coefficients[s - 1, r])]
-            if model.q:
-                row.append(_fmt(weights[s - 1, r]))
-            writer.writerow(row)
+            writer.writerow([s, r] + [_fmt(c[s - 1, r]) for c in columns])
     return 0
 
 

@@ -17,11 +17,8 @@ error-weight sequence (the Green coefficients themselves when q = 0), so
 Because the innovation variance is periodic, mse(h) need not be monotone
 in h.  All weights anchor at the *target* time, not the origin; the report
 records each target season to make that explicit.
-
-The ``min(H, l)`` target seasons' tables and error weights are built once,
-vectorized; horizon ``h`` reads the first ``h`` weights of its target's row.
-``predict`` on a daily model (l = 365, p = 4, q = 2) takes 8-15 ms to
-H = 365 and 0.35-0.6 ms to H = 14 (2-core 2.1 GHz Xeon VM, two speed phases).
+Each target season's table and weights are built once; horizon ``h`` reads
+a prefix: daily (l = 365, p = 4, q = 2) ``predict`` to H = 365 takes 9-16 ms.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import error_weights, known_weight_rows, season_tables, season_weights
+from .greens import _known_weights, _season_weights, error_weights, season_tables
 from .model import PeriodicModel, backwards, validate
 from .solution import homogeneous_coefficients
 
@@ -125,24 +122,19 @@ class ForecastReport:
 
 
 def _target_rows(model: PeriodicModel, origin_time: int, max_horizon: int):
-    """Tables and error weights of targets ``origin+1 .. origin+min(H, l)``;
-    target ``origin + h`` reads row ``rows[h-1]`` of both."""
+    """Tables of targets ``origin+1 .. origin+min(H, l)``, the row ``rows[h-1]`` that
+    target ``origin + h`` reads, its error weights and the MSE per horizon."""
     if max_horizon < 1:
         raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
     targets = origin_time + np.arange(1, min(max_horizon, model.l) + 1)
     tables = season_tables(model, max_horizon, targets)
-    weights = season_weights(model, tables, targets)
+    weights = _season_weights(model, tables, targets)
     weights.flags.writeable = False  # the report hands out views of it
-    return tables, weights, np.arange(max_horizon) % model.l
-
-
-def _mses(model: PeriodicModel, origin_time: int, weights: np.ndarray,
-          rows: np.ndarray) -> np.ndarray:
-    horizon = len(rows)
-    sigma2 = backwards(model.sigma2, origin_time + horizon, horizon)
-    squares = weights * weights
-    return np.array([np.dot(squares[r, :h], sigma2[horizon - h:])
-                     for h, r in enumerate(rows.tolist(), start=1)])
+    rows = np.arange(max_horizon) % model.l
+    views = [weights[r, :h] for h, r in enumerate(rows.tolist(), start=1)]
+    sigma2 = backwards(model.sigma2, origin_time + max_horizon, max_horizon)
+    mses = np.array([np.dot(w * w, sigma2[max_horizon - len(w):]) for w in views])
+    return tables, rows, views, mses
 
 
 def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> ForecastReport:
@@ -155,12 +147,11 @@ def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> F
     """
     _check_origin(model, origin)
     tau, p = origin.time, model.p
-    tables, weights, rows = _target_rows(model, tau, max_horizon)
+    tables, rows, views, mses = _target_rows(model, tau, max_horizon)
     pad = max(p, 1) - 1
     g = tables[:, pad:]
     hs = np.arange(1, max_horizon + 1)
     pairs = list(enumerate(rows.tolist(), start=1))
-
     drift = backwards(model.drift, tau + max_horizon, max_horizon)
     points = np.array([np.dot(g[r, :h], drift[max_horizon - h:]) for h, r in pairs])
     if p:
@@ -172,15 +163,13 @@ def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> F
             points += acc * origin.tail[m]
     adjustments = np.zeros(max_horizon)
     if model.q:
-        known = known_weight_rows(model, tau + hs, hs, g, rows)
+        known = _known_weights(model, tau + hs, hs, g, rows)
         adjustments = np.array([np.dot(w, origin.innovations) for w in known])
         points += adjustments
 
     return ForecastReport(
-        origin=tau, points=points, mses=_mses(model, tau, weights, rows),
-        error_weights=tuple(weights[r, :h] for h, r in pairs),
-        known_adjustments=adjustments,
-        target_seasons=(tau + hs - 1) % model.l + 1)
+        origin=tau, points=points, mses=mses, error_weights=tuple(views),
+        known_adjustments=adjustments, target_seasons=(tau + hs - 1) % model.l + 1)
 
 
 def forecast_error_coeffs(model: PeriodicModel, target: int, horizon: int) -> np.ndarray:
@@ -202,5 +191,4 @@ def mse_profile(model: PeriodicModel, origin_time: int, max_horizon: int) -> np.
     the periodic variance schedule enter.
     """
     validate(model)
-    _, weights, rows = _target_rows(model, origin_time, max_horizon)
-    return _mses(model, origin_time, weights, rows)
+    return _target_rows(model, origin_time, max_horizon)[3]

@@ -15,12 +15,10 @@ recurrence is exact algebra, costs ``O(p * H)`` for a table of length
 module exist to verify it.
 
 Tables depend on the anchor time ``t`` only through its season, so ``l``
-tables cover all anchors.  :func:`season_tables`, the kernel consumers
-share, runs the recurrence once over lags, vectorized across anchors, with
-the scalar operations in the same order, so its rows are bit-identical.
+tables cover all anchors; :func:`season_tables` builds many at once,
+bit-identical to building them one by one.
 
-For PARMA models two derived weight sequences appear, computed for many
-table rows at once (a one-row call is the same code):
+For PARMA models two derived weight sequences appear:
 
 * ``error_weights`` -- weights of the post-origin innovations in the
   forecast error, equal to the moving-average-infinity (psi) weights;
@@ -30,9 +28,11 @@ table rows at once (a one-row call is the same code):
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .model import PeriodicModel, validate
 
@@ -41,7 +41,6 @@ __all__ = [
     "FundamentalMatrix",
     "green_coefficients",
     "season_tables",
-    "season_weights",
     "error_weights",
     "known_innovation_weights",
     "build_fundamental",
@@ -56,10 +55,6 @@ OVERFLOW_FLAG = 1e100
 
 _LAPLACE_MAX = 14
 _LU_MAX = 512
-
-#: :func:`season_tables` vectorizes from this many anchors on (to lag 365,
-#: 4 anchors: 1.0 ms scalar, 4 ms vectorized; 8 anchors: 3.7 ms, 2.6 ms).
-_VECTOR_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -125,8 +120,7 @@ def green_coefficients(model: PeriodicModel, t: int, max_lag: int) -> GreenTable
     -----
     Runs the first-column-expansion recurrence in plain Python floats;
     building a daily-seasonality table (l = 365, p = 4) to lag 10,000
-    takes 8-13 ms (2-core 2.1 GHz Xeon VM).  For many anchors at once use
-    :func:`season_tables`.
+    takes 8-13 ms (2-core 2.1 GHz Xeon VM).
     """
     validate(model)
     if max_lag < 0:
@@ -153,71 +147,57 @@ def green_coefficients(model: PeriodicModel, t: int, max_lag: int) -> GreenTable
                       values=out)
 
 
-def _anchors(model: PeriodicModel, seasons) -> np.ndarray:
-    if seasons is None:
-        return np.arange(1, model.l + 1)
-    return np.asarray(seasons, dtype=np.int64).reshape(-1)
-
-
 def season_tables(model: PeriodicModel, max_lag: int, seasons=None) -> np.ndarray:
     """Read-only Green tables, one row per anchor in ``seasons`` (default ``1..l``).
 
-    Anchors are times; only their seasons matter.  Row ``i`` equals
-    ``green_coefficients(model, seasons[i], max_lag).values`` (lags
-    ``-(p-1) .. max_lag``).  From ``_VECTOR_MIN_ROWS`` anchors on, each lag
-    updates every row with one numpy operation per AR term: all 365 daily
-    tables to lag 365 take 4-9 ms, against 115-130 ms one by one.
+    Row ``i`` equals ``green_coefficients(model, seasons[i], max_lag).values``;
+    all 365 daily tables to lag 365 take 4-9 ms, against 115-130 ms one by one.
     """
     validate(model)
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    anchors = _anchors(model, seasons)
     p, l = model.p, model.l
+    anchors = np.arange(1, l + 1) if seasons is None else np.asarray(seasons, dtype=np.int64)
+    s0 = (anchors.reshape(-1) - 1) % l
     pad = max(p, 1) - 1
-    if len(anchors) < _VECTOR_MIN_ROWS:
-        out = np.empty((len(anchors), pad + max_lag + 1))
-        for row, t in zip(out, anchors.tolist()):
-            row[:] = green_coefficients(model, t, max_lag).values
-    else:
-        out = np.zeros((len(anchors), pad + max_lag + 1))
-        out[:, pad] = 1.0
-        s0 = (anchors - 1) % l
-        # shifted[i-1, j] = phi_i at season0 j + i; lag k of anchor season0 s
-        # multiplies phi_i at season0 s - k + i
-        shifted = np.take_along_axis(
-            model.ar, (np.arange(l) + np.arange(1, p + 1)[:, None]) % l, axis=1)
-        for k in range(1, max_lag + 1 if p else 1):
-            at = (s0 - k) % l
-            acc = out[:, pad + k]
-            for i in range(1, min(p, k) + 1):
-                acc += shifted[i - 1][at] * out[:, pad + k - i]
+    out = np.zeros((len(s0), pad + max_lag + 1))
+    out[:, pad] = 1.0
+    # shifted[i-1, j] = phi_i at season0 j + i: lag k of season0 s reads column s - k
+    shifted = np.take_along_axis(
+        model.ar, (np.arange(l) + np.arange(1, p + 1)[:, None]) % l, axis=1)
+    for k in range(1, max_lag + 1 if p else 1):
+        at = (s0 - k) % l
+        acc = out[:, pad + k]
+        for i in range(1, min(p, k) + 1):
+            acc += shifted[i - 1][at] * out[:, pad + k - i]
     out.flags.writeable = False
     return out
 
 
-def season_weights(model: PeriodicModel, tables: np.ndarray, seasons=None) -> np.ndarray:
-    """Forecast-error weights at lags ``0 .. max_lag`` for each row of ``tables``.
-
-    ``tables`` is a :func:`season_tables` array and ``seasons`` the anchors
-    it was built for.  Row ``i`` equals ``error_weights(model, seasons[i],
-    max_lag + 1)``; the weights at a shorter horizon are its prefix.
-    """
+def _season_weights(model: PeriodicModel, tables: np.ndarray, seasons=None) -> np.ndarray:
+    """Error weights at lags ``0 .. max_lag`` of each row of a :func:`season_tables` array
+    built for ``seasons`` (default ``1..len(tables)``); shorter horizons read prefixes."""
     g = tables[:, max(model.p, 1) - 1:]
     if model.q == 0:
         return g.copy()
-    anchors = _anchors(model, seasons)[:, None]
-    n = g.shape[1]
-    lags = np.arange(n)
+    l, n = model.l, g.shape[1]
+    start = l - (np.arange(len(g)) if seasons is None else (np.asarray(seasons) - 1) % l)
+    # windows[j-1, i, m] = theta_j at season0 -(i + m); lag k of season0 s reads
+    # windows[j-1, start, k-j], so each row's thetas are one contiguous window
+    ext = model.ma[:, -np.arange(n + l) % l]  # ext[j-1, i] = theta_j at season0 -i
+    windows = np.lib.stride_tricks.as_strided(
+        ext, (model.q, l + 1, n - 1), ext.strides + ext.strides[1:], writeable=False)
     acc = np.zeros(g.shape)
+    step = max(1, (1 << 14) // n)  # rows per theta block of about 128 KB
     for j in range(1, min(model.q, n - 1) + 1):
-        theta = model.ma[j - 1][(anchors - 1 - lags[j:] + j) % model.l]
-        acc[:, j:] += theta * g[:, :n - j]
+        for b in range(0, len(g), step):
+            theta = windows[j - 1, start[b:b + step], :n - j]
+            acc[b:b + step, j:] += np.multiply(theta, g[b:b + step, :n - j], out=theta)
     acc += g  # == g + acc: the scalar loop's order
     return acc
 
 
-def _table_to(model: PeriodicModel, t: int, max_lag: int,
-              table: GreenTable | None) -> GreenTable:
+def _table_to(model: PeriodicModel, t: int, max_lag: int, table) -> GreenTable:
     """``table`` if it is anchored at ``t``'s season and long enough, else a new one."""
     if table is not None and table.anchor_season != model.season(t):
         raise ValueError("supplied table is anchored at a different season")
@@ -238,16 +218,11 @@ def error_weights(model: PeriodicModel, t: int, horizon: int,
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     table = _table_to(model, t, horizon - 1, table)
-    return season_weights(model, table.values[None, :table._pad + horizon], [t])[0]
+    return _season_weights(model, table.values[None, :table._pad + horizon], [t])[0]
 
 
-def known_weight_rows(model: PeriodicModel, targets: np.ndarray,
-                      leads: np.ndarray, g: np.ndarray,
-                      rows: np.ndarray) -> np.ndarray:
-    """:func:`known_innovation_weights` for each pair ``(targets[k], leads[k])``.
-
-    ``g[rows[k]]`` holds lags ``0 .. leads[k]-1`` of the table anchored at ``targets[k]``.
-    """
+def _known_weights(model: PeriodicModel, targets, leads, g, rows) -> np.ndarray:
+    """:func:`known_innovation_weights` of ``(targets[k], leads[k])``; row ``g[rows[k]]``."""
     out = np.zeros((len(leads), model.q))
     for idx in range(model.q):
         for j in range(idx + 1, model.q + 1):
@@ -272,8 +247,8 @@ def known_innovation_weights(model: PeriodicModel, t: int, lead: int,
     if model.q == 0:
         return np.zeros(0)
     table = _table_to(model, t, lead - 1, table)
-    return known_weight_rows(model, np.array([t]), np.array([lead]),
-                             table.nonnegative[None], np.zeros(1, dtype=int))[0]
+    return _known_weights(model, np.array([t]), np.array([lead]), table.nonnegative[None],
+                          np.zeros(1, dtype=int))[0]
 
 
 @dataclass(frozen=True)
@@ -368,7 +343,7 @@ def laplace_determinant(a: np.ndarray | FundamentalMatrix) -> float:
 
 
 def lu_determinant(a: np.ndarray | FundamentalMatrix) -> float:
-    """Determinant via LU factorization with partial pivoting (``numpy.linalg.slogdet``).
+    """Determinant via LU factorization with partial pivoting.
 
     Signs and magnitudes are combined in log space so large explosive
     tables do not overflow intermediate products.  Guarded to order <= 512.
@@ -381,5 +356,13 @@ def lu_determinant(a: np.ndarray | FundamentalMatrix) -> float:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
     if n > _LU_MAX:
         raise ValueError(f"LU evaluator is limited to order {_LU_MAX}")
-    sign, logdet = np.linalg.slogdet(a)  # exactly singular: sign 0, det 0.0
-    return float(sign * np.exp(logdet))
+    with warnings.catch_warnings():
+        # exactly singular inputs are a legitimate det = 0, not a problem
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    diag = np.diag(lu)
+    if np.any(diag == 0.0):
+        return 0.0
+    sign = 1.0 if (np.sum(piv != np.arange(n)) % 2 == 0) else -1.0
+    sign *= np.prod(np.sign(diag))
+    return float(sign * np.exp(np.sum(np.log(np.abs(diag)))))

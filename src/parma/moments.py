@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import GreenTable, error_weights, green_coefficients, season_tables, season_weights
+from .greens import (GreenTable, _season_weights, error_weights, green_coefficients,
+                     season_tables)
 from .model import PeriodicModel, backwards, validate
 
 __all__ = [
@@ -239,10 +240,9 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     r_max = truncation if truncation is not None else default_truncation(model)
 
     # the means and the tail bound read prefixes of one table per season (causal)
-    pad = max(model.p, 1) - 1
     tables = season_tables(model, max_lag + r_max)
-    g = tables[:, pad:pad + r_max + 1]
-    weights = season_weights(model, tables)
+    g = tables[:, max(model.p, 1) - 1:][:, :r_max + 1]
+    weights = _season_weights(model, tables)
     means = np.array([np.dot(g[s - 1], backwards(model.drift, s, r_max + 1))
                       for s in range(1, l + 1)])
     autocov = np.zeros((l, max_lag + 1))

@@ -105,10 +105,9 @@ def _forcing(inp: SolutionInput, t: int) -> float:
 
 
 def homogeneous_coefficients(model: PeriodicModel, origin: int) -> list[list[float]]:
-    """``phi_{m+i}(origin+i)``, ``i = 1..p-m``, for ``m = 1..p-1``: the weights of
-    ``g[nl-i] * y_{origin-m}`` in the homogeneous part, whatever ``nl``."""
-    s0 = model.clock.season0
-    return [[float(model.ar[m + i - 1, s0(origin + i)]) for i in range(1, model.p - m + 1)]
+    """``phi_{m+i}(origin+i)``, ``i = 1..p-m``, weights of ``y_{origin-m}``, ``m >= 1``."""
+    return [[float(model.ar[m + i - 1, (origin + i - 1) % model.l])
+             for i in range(1, model.p - m + 1)]
             for m in range(1, model.p)]
 
 

@@ -13,8 +13,8 @@ from parma import (
     laplace_determinant,
     lu_determinant,
     season_tables,
-    season_weights,
 )
+from parma.greens import _season_weights
 
 from conftest import naive_error_weights, naive_known_weights, random_model
 
@@ -227,8 +227,8 @@ class TestSeasonTables:
         anchor_sets = [
             None,                   # every season, in order
             [-7],                   # one row, negative time
-            [-3, 0, 2 * l + 1],     # a few rows, below the vectorized path
-            list(range(-20, -8)),   # 12 rows: vectorized, seasons repeat for l < 12
+            [-3, 0, 2 * l + 1],     # a few rows
+            list(range(-20, -8)),   # 12 rows, seasons repeat for l < 12
         ]
         for max_lag in sorted({max(l - 2, 0), l, 3 * l + 1}):  # H < l, H = l, H > l
             for anchors in anchor_sets:
@@ -253,11 +253,12 @@ class TestSeasonTables:
     @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
     def test_season_weights_rows_equal_per_lag_loop(self, rng, l, p, q):
         model = random_model(rng, p=p, q=q, l=l)
-        for anchors in (list(range(-9, 3)), list(range(-75, 75))):  # 150 rows: blocks
-            for max_lag in (0, 1, q, 2 * l + 3):
-                got = season_weights(model, season_tables(model, max_lag, anchors),
-                                     anchors)
-                for row, t in zip(got, anchors):
+        for anchors in (None, [5], list(range(-9, 3)), list(range(-75, 75))):
+            times = range(1, l + 1) if anchors is None else anchors
+            for max_lag in (0, 1, q, 2 * l + 3, 300):  # 300 x 150 rows: several blocks
+                got = _season_weights(model, season_tables(model, max_lag, anchors),
+                                      anchors)
+                for row, t in zip(got, times):
                     assert np.array_equal(row, naive_error_weights(model, t, max_lag + 1))
 
     def test_negative_max_lag_rejected(self, rng):
