@@ -9,7 +9,7 @@ one-step recursions.
 
 import numpy as np
 
-from parma import ForecastOrigin, PeriodicModel, forecast_error_coeffs, predict
+from parma import ForecastOrigin, PeriodicModel, error_weights, predict
 
 # Half-year seasonality with a strongly heteroscedastic second season.
 model = PeriodicModel(
@@ -46,6 +46,6 @@ print(np.array2string(report.known_adjustments, precision=5))
 # Forecast-error weights anchor at the *target* time.  The same horizon
 # read from two different origins uses different weight tables:
 print("\nerror weights, horizon 4, target in season 1:",
-      forecast_error_coeffs(model, target=5, horizon=4))
+      error_weights(model, t=5, horizon=4))
 print("error weights, horizon 4, target in season 2:",
-      forecast_error_coeffs(model, target=6, horizon=4))
+      error_weights(model, t=6, horizon=4))

@@ -26,7 +26,6 @@ from .forecast import (
     ForecastOrigin,
     ForecastReport,
     MissingInnovationTailError,
-    forecast_error_coeffs,
     mse_profile,
     predict,
 )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import _known_weights, _season_weights, error_weights, season_tables
+from .greens import _known_weights, _season_weights, season_tables
 from .model import PeriodicModel, backwards, validate
 from .solution import homogeneous_coefficients
 
@@ -36,7 +36,6 @@ __all__ = [
     "ForecastReport",
     "MissingInnovationTailError",
     "predict",
-    "forecast_error_coeffs",
     "mse_profile",
 ]
 
@@ -170,18 +169,6 @@ def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> F
     return ForecastReport(
         origin=tau, points=points, mses=mses, error_weights=tuple(views),
         known_adjustments=adjustments, target_seasons=(tau + hs - 1) % model.l + 1)
-
-
-def forecast_error_coeffs(model: PeriodicModel, target: int, horizon: int) -> np.ndarray:
-    """Weights of ``eps_target, ..., eps_{target-horizon+1}`` in the forecast error.
-
-    Pure AR models return the Green coefficients; MA orders fold in the
-    theta terms.  Weights anchor at the target time.
-    """
-    validate(model)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return error_weights(model, target, horizon)
 
 
 def mse_profile(model: PeriodicModel, origin_time: int, max_horizon: int) -> np.ndarray:

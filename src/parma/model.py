@@ -199,6 +199,11 @@ class CoefficientView:
         return float(self.model.sigma2[self.model.clock.season0(t)])
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (``True`` is an ``int`` to Python)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def violations(model: PeriodicModel) -> list[Violation]:
     """Collect every invariant violation of ``model`` (empty list if valid)."""
     found: list[Violation] = []
@@ -206,12 +211,12 @@ def violations(model: PeriodicModel) -> list[Violation]:
     def bad_shape(msg: str) -> None:
         found.append(Violation(SHAPE_MISMATCH, msg))
 
-    if not isinstance(model.l, (int, np.integer)) or model.l < 1:
+    if not _is_int(model.l) or model.l < 1:
         bad_shape(f"period length l must be an integer >= 1, got {model.l!r}")
         return found  # the remaining checks are meaningless without l
-    if not isinstance(model.p, (int, np.integer)) or model.p < 0:
+    if not _is_int(model.p) or model.p < 0:
         bad_shape(f"AR order p must be an integer >= 0, got {model.p!r}")
-    if not isinstance(model.q, (int, np.integer)) or model.q < 0:
+    if not _is_int(model.q) or model.q < 0:
         bad_shape(f"MA order q must be an integer >= 0, got {model.q!r}")
     if found:
         return found

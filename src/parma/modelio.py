@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .model import PeriodicModel, validate
+from .model import PeriodicModel, _is_int, validate
 from .sim import SamplePath
 
 __all__ = [
@@ -88,7 +88,7 @@ def load_model(path: str) -> PeriodicModel:
         raise FileFormatError(
             f"{path}: missing key(s): {', '.join(sorted(missing))}")
     for name in ("l", "p", "q"):
-        if not isinstance(doc[name], int):
+        if not _is_int(doc[name]):
             raise FileFormatError(f"{path}: {name} must be an integer")
     try:
         model = PeriodicModel(l=doc["l"], p=doc["p"], q=doc["q"],
@@ -145,22 +145,24 @@ def load_series(path: str, model: PeriodicModel) -> Series:
     """Read a ``time,season,value`` file and check it against the clock."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise FileFormatError(f"{path}: empty series file")
-    header = [c.strip().lower() for c in rows[0]]
+    header = [c.strip().lower() for c in rows[0][1]]
     if header != ["time", "season", "value"]:
         raise FileFormatError(
             f"{path}: header must be time,season,value, got {','.join(header)}")
     times = []
     values = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 3:
             raise FileFormatError(f"{path}:{lineno}: expected 3 columns")
         try:
             t, season, value = int(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(value):
+            raise FileFormatError(f"{path}:{lineno}: value {row[2].strip()} is not finite")
         want = model.season(t)
         if season != want:
             raise FileFormatError(

@@ -231,10 +231,14 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     max_lag : int, optional
         Highest autocovariance lag (default ``2l``).
     truncation : int, optional
-        Series truncation lag (default per :func:`default_truncation`).
+        Series truncation lag, at least ``l`` (default per
+        :func:`default_truncation`); the tail bound extrapolates from the
+        last full period of weights, so a shorter truncation has none.
     """
-    diag = _require_convergent(model, None)
     l = model.l
+    if truncation is not None and truncation < l:
+        raise ValueError(f"truncation must be >= l = {l}, got {truncation}")
+    diag = _require_convergent(model, None)
     if max_lag is None:
         max_lag = 2 * l
     r_max = truncation if truncation is not None else default_truncation(model)

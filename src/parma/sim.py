@@ -7,6 +7,12 @@ the ``p`` values and ``q`` innovations immediately before their first
 point, which makes every stored observation exactly replayable from the
 recursion.
 
+One recursion kernel, :func:`_recurse`, serves ``simulate``, ``replay`` and
+``mc_forecast_experiment``: it steps through time and carries either one
+path as Python floats or many paths as one numpy row per step.  Elementwise
+float64 arithmetic rounds like Python floats, so a path gets the same bits
+whether it runs alone or in a batch.
+
 Stationary models are burned in from a zero start; models failing the
 convergence diagnostic are simulated conditionally from exact zero initial
 values with no burn-in (their unconditional moments do not exist, so there
@@ -112,10 +118,14 @@ class SamplePath:
 
 def _recurse(model: PeriodicModel, eps: np.ndarray, pre_y, pre_eps,
              t0: int) -> np.ndarray:
-    """Run the difference equation over ``eps``; shared by simulate and replay.
+    """Run the difference equation over ``eps`` from time ``t0``.
 
-    Both callers must flow through this exact loop so replayed values are
-    bit-identical to generated ones.
+    ``eps`` is either one path, shape ``(n,)``, stepped as Python floats, or
+    many paths, time-major shape ``(n, n_paths)``, stepped one numpy row at
+    a time; the result has the shape of ``eps``.  ``pre_y`` and ``pre_eps``
+    hold the ``p`` values and ``q`` innovations before ``t0``, newest first
+    (scalars, or rows of ``n_paths``).  Every caller flows through this loop,
+    so replayed values are bit-identical to generated ones.
     """
     p, q, l = model.p, model.q, model.l
     drift = model.drift.tolist()
@@ -123,10 +133,12 @@ def _recurse(model: PeriodicModel, eps: np.ndarray, pre_y, pre_eps,
     ma = model.ma.tolist()
     state = list(pre_y)
     hist = list(pre_eps)
-    eps_list = eps.tolist()
-    out = [0.0] * len(eps_list)
+    if eps.ndim == 1:
+        steps, out = eps.tolist(), [0.0] * len(eps)
+    else:
+        steps, out = eps, np.empty(eps.shape)
     s0 = (t0 - 1) % l
-    for i, e in enumerate(eps_list):
+    for i, e in enumerate(steps):
         v = drift[s0] + e
         for j in range(q):
             v += ma[j][s0] * hist[j]
@@ -165,27 +177,26 @@ def _resolve_burn_in(plan: SimPlan) -> int:
     return 0
 
 
-def _standardized_draws(plan: SimPlan, rng: np.random.Generator,
-                        n: int, path_index: int) -> np.ndarray:
-    if plan.dist == "gaussian":
-        return rng.standard_normal(n)
-    if plan.dist == "student-t":
-        return rng.standard_t(plan.df, size=n) / np.sqrt(plan.df / (plan.df - 2.0))
-    draws = np.asarray(plan.custom, dtype=float)
-    if draws.ndim == 1:
-        draws = draws[None, :]
-    if draws.shape != (plan.n_paths, n):
-        raise ValueError(
-            f"custom draws must have shape ({plan.n_paths}, {n}), "
-            f"got {draws.shape}")
-    return draws[path_index]
+def _draws(rng: np.random.Generator, dist: str, df: float | None,
+           shape) -> np.ndarray:
+    """Unit-variance Gaussian or Student-t draws (Student-t needs ``df > 2``)."""
+    if dist == "gaussian":
+        return rng.standard_normal(shape)
+    if dist == "student-t":
+        if df is None or df <= 2:
+            raise ValueError("student-t innovations need df > 2")
+        draws = rng.standard_t(df, size=shape)
+        draws /= np.sqrt(df / (df - 2.0))
+        return draws
+    raise ValueError(f"dist must be 'gaussian' or 'student-t', got {dist!r}")
 
 
 def simulate(plan: SimPlan):
     """Generate the plan's paths; a single path unless ``n_paths > 1``.
 
     The kept window starts at absolute time 1 (season 1); the discarded
-    burn-in occupies times ``1 - burn_in .. 0``.
+    burn-in occupies times ``1 - burn_in .. 0``.  All paths run through one
+    call of the recursion kernel.
     """
     model = plan.model
     p, q, l = model.p, model.q, model.l
@@ -195,19 +206,28 @@ def simulate(plan: SimPlan):
     sig = np.sqrt(model.sigma2[(np.arange(t0, t0 + n_total) - 1) % l])
     seasons = (np.arange(1, plan.length + 1) - 1) % l + 1
 
+    if plan.dist == "custom":
+        eps = np.array(plan.custom, dtype=float, ndmin=2)
+        if eps.shape != (plan.n_paths, n_total):
+            raise ValueError(
+                f"custom draws must have shape ({plan.n_paths}, {n_total}), "
+                f"got {eps.shape}")
+    else:
+        children = np.random.SeedSequence(plan.seed).spawn(plan.n_paths)
+        eps = np.stack([_draws(np.random.default_rng(child), plan.dist, plan.df,
+                               n_total) for child in children])
+    eps *= sig
+    y = _recurse(model, eps[0] if plan.n_paths == 1 else eps.T,
+                 np.zeros(p), np.zeros(q), t0)
+    y = np.ascontiguousarray(y.T).reshape(eps.shape)  # path-major, like eps
+
     paths = []
-    for idx, child in enumerate(np.random.SeedSequence(plan.seed).spawn(plan.n_paths)):
-        rng = np.random.default_rng(child)
-        eps = _standardized_draws(plan, rng, n_total, idx) * sig
-        y = _recurse(model, eps, np.zeros(p), np.zeros(q), t0)
-        pre_y = y[burn - 1::-1][:p] if burn else np.zeros(p)
-        if burn and p > burn:
-            pre_y = np.concatenate([pre_y, np.zeros(p - burn)])
-        pre_eps = eps[burn - 1::-1][:q] if burn else np.zeros(q)
-        if burn and q > burn:
-            pre_eps = np.concatenate([pre_eps, np.zeros(q - burn)])
+    for y_k, eps_k in zip(y, eps):
+        # zero start before the burn-in, then newest first
+        pre_y = np.concatenate([np.zeros(p), y_k[:burn]])[::-1][:p]
+        pre_eps = np.concatenate([np.zeros(q), eps_k[:burn]])[::-1][:q]
         paths.append(SamplePath(start=1, seasons=seasons.copy(),
-                                y=y[burn:], eps=eps[burn:],
+                                y=y_k[burn:], eps=eps_k[burn:],
                                 pre_y=pre_y, pre_eps=pre_eps))
     return paths[0] if plan.n_paths == 1 else paths
 
@@ -248,41 +268,18 @@ def mc_forecast_experiment(model: PeriodicModel, origin: ForecastOrigin,
     """
     validate(model)
     report = predict(model, origin, max_horizon)
-    p, q, l = model.p, model.q, model.l
     tau = origin.time
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if dist == "gaussian":
-        raw = rng.standard_normal((n_paths, max_horizon))
-    elif dist == "student-t":
-        if df is None or df <= 2:
-            raise ValueError("student-t innovations need df > 2")
-        raw = rng.standard_t(df, size=(n_paths, max_horizon))
-        raw /= np.sqrt(df / (df - 2.0))
-    else:
-        raise ValueError(f"dist must be 'gaussian' or 'student-t', got {dist!r}")
-    sig = np.sqrt(model.sigma2[(np.arange(tau + 1, tau + max_horizon + 1) - 1) % l])
-    eps = raw * sig[None, :]
-
-    state = [np.full(n_paths, origin.tail[m]) for m in range(p)]
-    hist = [np.full(n_paths, origin.innovations[j]) for j in range(q)] if q else []
-    errors = np.zeros((n_paths, max_horizon))
-    for h in range(1, max_horizon + 1):
-        s0 = model.clock.season0(tau + h)
-        y = model.drift[s0] + eps[:, h - 1]
-        for j in range(q):
-            y = y + model.ma[j, s0] * hist[j]
-        for m in range(p):
-            y = y + model.ar[m, s0] * state[m]
-        errors[:, h - 1] = y - report.points[h - 1]
-        if p:
-            state = [y] + state[:-1]
-        if q:
-            hist = [eps[:, h - 1]] + hist[:-1]
+    eps = _draws(rng, dist, df, (n_paths, max_horizon))
+    eps *= np.sqrt(model.sigma2[np.arange(tau, tau + max_horizon) % model.l])
+    errors = _recurse(model, eps.T, origin.tail,
+                      origin.innovations if model.q else (), tau + 1)
+    errors -= report.points[:, None]
 
     rows = []
     for h in range(1, max_horizon + 1):
-        err = errors[:, h - 1]
+        err = errors[h - 1]
         sq = err * err
         emp = float(sq.mean())
         se = float(sq.std(ddof=1) / np.sqrt(n_paths))

@@ -163,6 +163,31 @@ class TestExitCodes:
         assert code == 2
         assert "season" in err
 
+    def test_bool_order_is_2(self, capsys, tmp_path):
+        target = tmp_path / "bool.yaml"
+        target.write_text("schema: parma-model-v1\nl: 1\np: true\nq: 0\n"
+                          "drift: [0]\nar:\n- [0.5]\nma: []\nsigma2: [1]\n")
+        code, out, err = run(capsys, "validate", str(target))
+        assert code == 2
+        assert out == "" and "p must be an integer" in err
+
+    def test_nan_series_value_is_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,season,value\n1,1,0.5\n2,2,nan\n")
+        code, out, err = run(capsys, "forecast", f"{FIXTURES}/par12.yaml",
+                             "--series", str(bad))
+        assert code == 2
+        assert out == "" and "bad.csv:3" in err
+
+    def test_truncation_below_period_is_1(self, capsys, tmp_path):
+        doc = ("schema: parma-model-v1\nl: 4\np: 1\nq: 0\ndrift: [0, 0, 0, 0]\n"
+               "ar:\n- [0.5, 0.5, 0.5, 0.5]\nma: []\nsigma2: [1, 1, 1, 1]\n")
+        target = tmp_path / "ar4.yaml"
+        target.write_text(doc)
+        code, out, err = run(capsys, "moments", str(target), "-R", "3")
+        assert code == 1
+        assert "truncation must be >= l = 4" in err
+
     def test_bad_bench_orders_is_2(self, capsys):
         code, _, err = run(capsys, "bench", f"{FIXTURES}/par12.yaml",
                            "--orders", "10,zero")

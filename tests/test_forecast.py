@@ -10,7 +10,7 @@ from parma import (
     PeriodicModel,
     SolutionInput,
     direct_recursion,
-    forecast_error_coeffs,
+    error_weights,
     green_coefficients,
     mse_profile,
     predict,
@@ -116,19 +116,19 @@ class TestPointForecasts:
 class TestErrorCoeffs:
     def test_horizon_one_is_unit(self, rng):
         model = random_model(rng)
-        assert_allclose(forecast_error_coeffs(model, 5, 1), [1.0])
+        assert_allclose(error_weights(model, 5, 1), [1.0])
 
     def test_par14_anchors_at_target(self):
         a, b, c, d = 0.9, 0.8, 0.7, 0.6
         model = PeriodicModel(l=4, p=1, q=0, drift=np.zeros(4),
                               ar=[[a, b, c, d]], ma=[], sigma2=np.ones(4))
-        got = forecast_error_coeffs(model, target=4, horizon=4)
+        got = error_weights(model, t=4, horizon=4)
         assert_allclose(got, [1.0, d, d * c, d * c * b], rtol=1e-14)
 
     def test_parma01_adds_theta(self):
         model = PeriodicModel(l=2, p=0, q=1, drift=np.zeros(2), ar=[],
                               ma=[[0.2, 0.7]], sigma2=np.ones(2))
-        got = forecast_error_coeffs(model, target=1, horizon=2)
+        got = error_weights(model, t=1, horizon=2)
         assert_allclose(got, [1.0, 0.2], rtol=1e-14)
 
 

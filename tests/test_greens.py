@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -352,6 +355,16 @@ class TestDeterminantOracles:
     def test_singular_matrix_is_zero(self):
         a = np.ones((4, 4))
         assert lu_determinant(a) == 0.0
+
+    def test_empty_matrix_is_one(self):
+        assert lu_determinant(np.zeros((0, 0))) == 1.0
+
+    def test_import_leaves_scipy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, parma; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestContractEdges:

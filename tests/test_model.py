@@ -103,6 +103,16 @@ class TestValidate:
                               sigma2=[1.0, 1.0])
         assert [v.kind for v in violations(model)] == [SHAPE_MISMATCH]
 
+    @pytest.mark.parametrize("field", ["l", "p", "q"])
+    def test_bool_orders_rejected(self, field):
+        shape = dict(l=1, p=1, q=1)
+        shape[field] = True
+        model = PeriodicModel(**shape, drift=[0.0], ar=[[0.5]], ma=[[0.2]],
+                              sigma2=[1.0])
+        found = violations(model)
+        assert [v.kind for v in found] == [SHAPE_MISMATCH]
+        assert "got True" in found[0].message
+
     def test_bad_period_length_short_circuits(self):
         model = PeriodicModel(l=0, p=0, q=0, drift=[], ar=[], ma=[],
                               sigma2=[])

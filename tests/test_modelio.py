@@ -70,6 +70,18 @@ class TestModelFiles:
         with pytest.raises(FileFormatError, match="integer"):
             load_model(str(target))
 
+    @pytest.mark.parametrize("field,value", [("l", "true"), ("p", "true"),
+                                             ("q", "false")])
+    def test_bool_order_rejected(self, tmp_path, field, value):
+        doc = {"l": "1", "p": "1", "q": "0"}
+        doc[field] = value
+        target = tmp_path / "bool.yaml"
+        target.write_text(
+            f"schema: parma-model-v1\nl: {doc['l']}\np: {doc['p']}\n"
+            f"q: {doc['q']}\ndrift: [0]\nar:\n- [0.5]\nma: []\nsigma2: [1]\n")
+        with pytest.raises(FileFormatError, match=f"{field} must be an integer"):
+            load_model(str(target))
+
     def test_ragged_arrays(self, tmp_path):
         target = tmp_path / "ragged.yaml"
         target.write_text(
@@ -104,6 +116,15 @@ class TestSeriesFiles:
         target = tmp_path / "s.csv"
         target.write_text("time,season,value\n1,1,0.5\n3,1,0.2\n")
         with pytest.raises(FileFormatError, match="consecutive"):
+            load_series(str(target), model)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        model = load_model(f"{FIXTURES}/par12.yaml")
+        target = tmp_path / "s.csv"
+        # the blank line counts: the message names the line in the file
+        target.write_text(f"time,season,value\n1,1,0.5\n\n2,2,{value}\n")
+        with pytest.raises(FileFormatError, match=f"s.csv:4: value {value} is not finite"):
             load_series(str(target), model)
 
     def test_bad_header(self, tmp_path):

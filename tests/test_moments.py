@@ -203,6 +203,17 @@ class TestMomentProfile:
         assert np.max(np.abs(coarse.variances - fine.variances)) < bound
         assert np.max(np.abs(coarse.autocov - fine.autocov)) < bound
 
+    def test_truncation_below_period_rejected(self):
+        # one block of l lags past a sub-period truncation bounds nothing:
+        # truncation 5 gave variance 7.72 with tail_bound 0.41 (true 11.32)
+        model = PeriodicModel.constant(ar=[0.9], ma=[0.5], l=12)
+        for truncation in (5, 11):
+            with pytest.raises(ValueError, match="truncation must be >= l = 12"):
+                moment_profile(model, max_lag=2, truncation=truncation)
+        prof = moment_profile(model, max_lag=2, truncation=12)
+        true_var = (1 + 2 * 0.9 * 0.5 + 0.5 ** 2) / (1 - 0.9 ** 2)
+        assert true_var - prof.variances[0] <= prof.tail_bound * (1 + 1e-9)
+
     def test_default_truncation_is_period_aligned(self, rng):
         model = random_stationary_model(rng, l=3)
         r = default_truncation(model)

@@ -7,7 +7,9 @@ from parma import (
     ForecastOrigin,
     PeriodicModel,
     SimPlan,
+    McForecastRow,
     mc_forecast_experiment,
+    predict,
     replay,
     simulate,
     unconditional_variance,
@@ -209,3 +211,103 @@ class TestMcForecastExperiment:
             model, ForecastOrigin(time=2, tail=[1.0], innovations=[0.6]),
             max_horizon=8, n_paths=20_000, seed=41)
         assert all(r.passed for r in rows)
+
+
+def reference_mc(model, origin, max_horizon, n_paths, seed=0, dist="gaussian",
+                 df=None):
+    """Per-horizon Monte Carlo loop over (n_paths, H) draws, one column a step."""
+    report = predict(model, origin, max_horizon)
+    p, q, l = model.p, model.q, model.l
+    tau = origin.time
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if dist == "gaussian":
+        raw = rng.standard_normal((n_paths, max_horizon))
+    else:
+        raw = rng.standard_t(df, size=(n_paths, max_horizon))
+        raw /= np.sqrt(df / (df - 2.0))
+    sig = np.sqrt(model.sigma2[(np.arange(tau + 1, tau + max_horizon + 1) - 1) % l])
+    eps = raw * sig[None, :]
+    state = [np.full(n_paths, origin.tail[m]) for m in range(p)]
+    hist = [np.full(n_paths, origin.innovations[j]) for j in range(q)]
+    errors = np.zeros((n_paths, max_horizon))
+    for h in range(1, max_horizon + 1):
+        s0 = model.clock.season0(tau + h)
+        y = model.drift[s0] + eps[:, h - 1]
+        for j in range(q):
+            y = y + model.ma[j, s0] * hist[j]
+        for m in range(p):
+            y = y + model.ar[m, s0] * state[m]
+        errors[:, h - 1] = y - report.points[h - 1]
+        if p:
+            state = [y] + state[:-1]
+        if q:
+            hist = [eps[:, h - 1]] + hist[:-1]
+    rows = []
+    for h in range(1, max_horizon + 1):
+        err = errors[:, h - 1]
+        sq = err * err
+        emp = float(sq.mean())
+        se = float(sq.std(ddof=1) / np.sqrt(n_paths))
+        theo = float(report.mses[h - 1])
+        z = (emp - theo) / se if se > 0 else 0.0
+        rows.append(McForecastRow(
+            horizon=h, bias=float(err.mean()),
+            bias_limit=4.0 * float(np.sqrt(theo / n_paths)),
+            empirical_mse=emp, theoretical_mse=theo, std_error=se,
+            z_score=float(z), passed=bool(abs(z) <= 3.0)))
+    return rows
+
+
+class TestOneRecursionKernel:
+    """simulate, replay and the Monte Carlo experiment share one kernel."""
+
+    @pytest.mark.parametrize("l,p,q,dist", [(12, 3, 2, "gaussian"),
+                                            (1, 0, 0, "gaussian"),
+                                            (4, 1, 3, "student-t"),
+                                            (3, 5, 1, "gaussian")])
+    def test_batch_path_equals_single_path(self, rng, l, p, q, dist):
+        # both use SeedSequence(seed) child 0: the 2-D and 1-D kernels agree
+        model = random_model(rng, p=p, q=q, l=l, coef_scale=0.15)
+        df = 5.0 if dist == "student-t" else None
+        single = simulate(SimPlan(model, length=150, seed=19, dist=dist, df=df))
+        batch = simulate(SimPlan(model, length=150, n_paths=4, seed=19,
+                                 dist=dist, df=df))
+        for name in ("y", "eps", "pre_y", "pre_eps", "seasons"):
+            assert np.array_equal(getattr(batch[0], name), getattr(single, name))
+        for path in batch:
+            assert np.array_equal(replay(model, path), path.y)
+
+    def test_burn_in_shorter_than_orders_pads_pre_history_with_zeros(self):
+        model = PeriodicModel.constant(ar=[0.05] * 12, ma=[0.1] * 12, l=1)
+        for plan in (SimPlan(model, length=30, burn_in=10, seed=2),
+                     SimPlan(model, length=30, burn_in=10, n_paths=3, seed=2)):
+            paths = simulate(plan)
+            for path in paths if isinstance(paths, list) else [paths]:
+                assert np.all(path.pre_y[:10] != 0.0)
+                assert np.all(path.pre_eps[:10] != 0.0)
+                assert np.array_equal(path.pre_y[10:], np.zeros(2))
+                assert np.array_equal(path.pre_eps[10:], np.zeros(2))
+                assert np.array_equal(replay(model, path), path.y)
+
+    @pytest.mark.parametrize("l,p,q,dist,n_paths", [
+        (12, 3, 2, "gaussian", 3000),
+        (5, 2, 1, "student-t", 2000),
+        (4, 0, 2, "gaussian", 2500),
+    ])
+    def test_mc_rows_match_per_horizon_loop(self, rng, l, p, q, dist, n_paths):
+        model = random_model(rng, p=p, q=q, l=l, coef_scale=0.3)
+        origin = ForecastOrigin(time=l + 2, tail=rng.normal(size=p),
+                                innovations=rng.normal(size=q))
+        df = 6.0 if dist == "student-t" else None
+        got = mc_forecast_experiment(model, origin, 2 * l + 1, n_paths, seed=3,
+                                     dist=dist, df=df)
+        assert got == reference_mc(model, origin, 2 * l + 1, n_paths, seed=3,
+                                   dist=dist, df=df)
+
+    def test_mc_rejects_bad_dist(self):
+        origin = ForecastOrigin(time=0)
+        with pytest.raises(ValueError, match="df > 2"):
+            mc_forecast_experiment(white_noise(), origin, 2, 10,
+                                   dist="student-t", df=2.0)
+        with pytest.raises(ValueError, match="dist must be"):
+            mc_forecast_experiment(white_noise(), origin, 2, 10, dist="custom")
