@@ -3,9 +3,10 @@
 
 The stacked (vector-of-seasons) representation turns the periodic model
 into a constant-coefficient vector AR whose companion roots decide
-stationarity.  The univariate route never stacks anything: it watches the
-growth of the Green coefficients.  The two agree, and each catches what
-the other would miss if implemented wrongly.
+stationarity.  The univariate route never stacks anything: it multiplies
+the l per-season p x p companion matrices of the scalar recursion over one
+period.  The two agree, and each catches what the other would miss if
+implemented wrongly.
 """
 
 from parma import (
@@ -40,11 +41,12 @@ print("stationary:", verdict.stationary)
 # scalar restriction on the eight AR coefficients:
 print("scalar restriction (<1 means stationary):", par24_restriction(model))
 
-# Route 2: univariate growth of the Green coefficients.  The estimate is
-# per time step; raised to the period length it recovers the per-period
+# Route 2: the univariate decay rate of the Green coefficients, from the
+# spectral radius of the period product of companion matrices.  It is per
+# time step; raised to the period length it recovers the per-period
 # companion root found above.
 diag = check_convergence(model)
-print("\nunivariate growth estimate (per step):", diag.rho_hat)
+print("\nunivariate decay rate (per step):", diag.rho_hat)
 print("raised to the period length:", diag.rho_hat ** model.l)
 print("passes the second-moment check:", diag.passed)
 

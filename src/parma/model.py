@@ -95,10 +95,11 @@ def backwards(values: np.ndarray, t: int, n: int) -> np.ndarray:
 
 
 def _as_table(values, rows: int, cols: int) -> np.ndarray:
-    """Coerce to a float array, normalising the empty (0-order) case."""
+    """Coerce to a float array; an empty one gets shape ``(rows, cols)`` when that
+    is a valid empty shape (other orders are left for :func:`violations`)."""
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return np.zeros((rows, cols)) if rows == 0 or cols == 0 else arr.reshape(arr.shape)
+    if arr.size == 0 and _is_int(rows) and _is_int(cols) and min(rows, cols) == 0:
+        return np.zeros((rows, cols))
     return arr
 
 

@@ -1,19 +1,18 @@
 """Unconditional moments via truncated moving-average-infinity sums.
 
-When the squared Green weights (scaled by the periodic innovation
-variances) are summable, the process has a convergent MA-infinity form and
-its first two moments per season are
+When the Green weights decay geometrically, the process has a convergent
+MA-infinity form and its first two moments per season are
 
     mean(s)      = sum_{r>=0} g[r] * drift(t - r)
     variance(s)  = sum_{r>=0} w[r]^2 * sigma2(t - r)
     gamma(s, k)  = sum_{r>=0} w_t[k + r] * w_{t-k}[r] * sigma2(t - k - r)
 
-for any ``t`` in season ``s``, with ``w`` the error-weight sequence
-(the Green coefficients themselves for q = 0).  Summability has no
-checkable closed form for general orders, so :func:`check_convergence`
-estimates the per-step geometric growth factor of the weights from the
-tables; every moment function requires a passing diagnostic and reports
-values from series truncated at a lag where the weights have decayed.
+for any ``t`` in season ``s``, with ``w`` the error-weight sequence (the
+Green coefficients themselves for q = 0).  The decay has a closed form:
+the weights decay exactly when the product of the ``l`` per-season AR
+companion matrices has spectral radius below one (:func:`check_convergence`).
+Every moment function requires a passing diagnostic and truncates its
+series where the weights have decayed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import (GreenTable, _season_weights, error_weights, green_coefficients,
+from .greens import (OVERFLOW_FLAG, _season_weights, error_weights, green_coefficients,
                      season_tables)
 from .model import PeriodicModel, backwards, validate
 
@@ -48,18 +47,17 @@ class NotConvergentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConvergenceDiagnostic:
-    """Numerical surrogate for second-moment existence.
+    """Exact weight-decay rate and second-moment verdict.
 
-    ``rho_hat`` estimates the per-step geometric growth factor of the
-    Green coefficients: for each anchor season the growth over a long
-    baseline of whole periods is measured at ``l`` consecutive endpoints
-    and the median taken (robust against the sign oscillation of tables
-    with complex characteristic roots); ``rho_hat`` is the worst season.
-    For an order-1 model it reduces exactly to
-    ``|coefficient product| ** (1/l)``.
-
-    Passing requires ``rho_hat < 1 - margin`` and the probe-lag values to
-    stay below ``tail_threshold``.  Failing is a value, not an error.
+    ``rho_hat`` is the per-step decay rate of the Green coefficients: the
+    spectral radius of the product of the ``l`` per-season ``p x p``
+    companion matrices, to the power ``1/l``.  ``rho_hat ** l`` is the
+    stacked companion radius of :mod:`parma.vsform` (same nonzero
+    eigenvalues); for ``p = 1`` it is ``|coefficient product| ** (1/l)``.
+    Passing requires ``rho_hat < 1 - margin`` and then, as an overflow
+    guard, ``tail_value`` (the largest ``|g|`` at ``probe_lag`` over the
+    seasons; NaN when the rate fails) below ``greens.OVERFLOW_FLAG``.
+    Failing is a value, not an error.
     """
 
     rho_hat: float
@@ -69,30 +67,39 @@ class ConvergenceDiagnostic:
     tail_value: float = float("nan")
 
 
-def _growth_estimate(table: GreenTable, probe_lag: int, l: int) -> float:
-    g = np.abs(table.nonnegative[:probe_lag + 1])
-    baseline = l * max(1, probe_lag // (2 * l))
-    ratios = np.empty(l)
-    for j in range(l):
-        num = g[probe_lag - j]
-        den = g[probe_lag - j - baseline]
-        if den == 0.0:
-            ratios[j] = 0.0 if num == 0.0 else np.inf
-        else:
-            ratios[j] = (num / den) ** (1.0 / baseline)
-    return float(np.median(ratios))
+def _companions(model: PeriodicModel) -> np.ndarray:
+    """Companion matrices ``A_s`` of seasons ``1..l``, shape ``(l, p, p)``."""
+    comp = np.zeros((model.l, model.p, model.p))
+    comp[:, 0, :] = model.ar.T
+    comp[:, 1:, :-1] = np.eye(model.p - 1)
+    return comp
+
+
+def _decay_rate(model: PeriodicModel) -> float:
+    """Spectral radius of ``A_l ... A_1`` to the power ``1/l`` (``p >= 1``), rescaled
+    at every factor with its log scale carried, so it cannot overflow or underflow.
+    One anchor is enough: the ``l`` cyclic products share their nonzero eigenvalues."""
+    prod, log_scale = np.eye(model.p), 0.0
+    for a in _companions(model)[::-1]:
+        prod = prod @ a
+        top = np.max(np.abs(prod))
+        if top == 0.0:
+            return 0.0
+        prod /= top
+        log_scale += np.log(top)
+    radius = np.max(np.abs(np.linalg.eigvals(prod)))
+    return 0.0 if radius == 0.0 else float(np.exp((np.log(radius) + log_scale) / model.l))
 
 
 def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
-                      margin: float = 0.0,
-                      tail_threshold: float = 1e100) -> ConvergenceDiagnostic:
-    """Estimate the weight-decay rate and decide second-moment existence.
+                      margin: float = 0.0) -> ConvergenceDiagnostic:
+    """Exact weight-decay rate and second-moment verdict; builds no Green table.
 
     Parameters
     ----------
     probe_lag : int, optional
-        Lag ``R >= 2l`` at which growth is probed; defaults to a few
-        hundred periods.
+        Lag ``R >= 2l`` at which the overflow guard reads ``|g|``; defaults
+        to ``max(40l, 400)`` rounded up to a multiple of ``l``.
     margin : float
         Require ``rho_hat < 1 - margin``.
     """
@@ -104,63 +111,64 @@ def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
     if probe_lag < 2 * l:
         raise ValueError(f"probe_lag must be >= 2*l = {2 * l}, got {probe_lag}")
     if model.p == 0:
-        return ConvergenceDiagnostic(rho_hat=0.0, passed=True,
-                                     probe_lag=probe_lag, margin=margin,
-                                     tail_value=0.0)
-    rho = 0.0
-    tail = 0.0
-    for s in range(1, l + 1):
-        table = green_coefficients(model, s, probe_lag)
-        rho = max(rho, _growth_estimate(table, probe_lag, l))
-        tail = max(tail, abs(table.value(probe_lag)))
-    passed = bool(rho < 1.0 - margin and tail < tail_threshold)
-    return ConvergenceDiagnostic(rho_hat=rho, passed=passed,
-                                 probe_lag=probe_lag, margin=margin,
-                                 tail_value=tail)
+        return ConvergenceDiagnostic(rho_hat=0.0, passed=True, probe_lag=probe_lag,
+                                     margin=margin, tail_value=0.0)
+    rho = _decay_rate(model)
+    tail = float("nan")
+    if rho < 1.0 - margin:
+        # anchored at s, g[k] is the [0, 0] entry of A_s A_{s-1} ... A_{s-k+1}, so
+        # g[n*l + r] reads M_s ** n times the first r factors of the period product M_s
+        n, r = divmod(probe_lag, l)
+        comp = _companions(model)
+        prods = partial = np.broadcast_to(np.eye(model.p), comp.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, l + 1):
+                prods = prods @ comp[(np.arange(l) - k + 1) % l]
+                partial = prods if k == r else partial
+            tail = float(np.max(np.abs((np.linalg.matrix_power(prods, n) @ partial)[:, 0, 0])))
+    return ConvergenceDiagnostic(rho_hat=rho, passed=bool(tail < OVERFLOW_FLAG),
+                                 probe_lag=probe_lag, margin=margin, tail_value=tail)
 
 
-def _require_convergent(model: PeriodicModel,
-                        diagnostic: ConvergenceDiagnostic | None) -> ConvergenceDiagnostic:
+def _require_convergent(model: PeriodicModel, diagnostic: ConvergenceDiagnostic | None,
+                        truncation: int | None) -> tuple[ConvergenceDiagnostic, int]:
+    """The passing diagnostic and the truncation (default per :func:`default_truncation`)."""
     diag = diagnostic if diagnostic is not None else check_convergence(model)
     if not diag.passed:
         raise NotConvergentError(
             f"weight series does not decay (rho_hat={diag.rho_hat:.6g}); "
             "unconditional moments do not exist")
-    return diag
+    return diag, truncation if truncation is not None else default_truncation(model)
 
 
 def default_truncation(model: PeriodicModel) -> int:
-    """Smallest multiple of ``l`` where the weights have decayed to relative 1e-14.
-
-    Grows geometrically and caps at 10,000 lags.
-    """
+    """Smallest multiple of ``l``, at least ``2l``, where every season's weights are
+    below 1e-14 of that table's largest; the first probe lag comes from the decay
+    rate, and the probe doubles up to 10,000 lags."""
     validate(model)
     l = model.l
     if model.p == 0:
         return max(l, model.q + 1)
-    probe = max(8 * l, 64)
+    rho = _decay_rate(model)
+    probe = max(8 * l, 64) if rho >= 1.0 else 2 * l
+    if 0.0 < rho < 1.0:
+        probe = l * max(2, int(np.ceil(np.log(_REL_TAIL) / (l * np.log(rho)))))
     while True:
         probe = min(probe, TRUNCATION_CAP)
-        tables = [green_coefficients(model, s, probe) for s in range(1, l + 1)]
-        best: int | None = None
-        for r in range(l, probe + 1, l):
-            if all(abs(t.value(r)) < _REL_TAIL * np.max(np.abs(t.nonnegative))
-                   for t in tables):
-                best = r
-                break
-        if best is not None:
-            return max(best, 2 * l)
+        g = np.abs(season_tables(model, probe)[:, model.p - 1:])
+        decayed = np.all(g[:, l::l] < _REL_TAIL * np.max(g, axis=1, keepdims=True), axis=0)
+        if decayed.any():
+            return max(l * (int(np.argmax(decayed)) + 1), 2 * l)
         if probe >= TRUNCATION_CAP:
             return TRUNCATION_CAP
-        probe = min(2 * probe, TRUNCATION_CAP)
+        probe *= 2
 
 
 def unconditional_mean(model: PeriodicModel, season: int,
                        truncation: int | None = None,
                        diagnostic: ConvergenceDiagnostic | None = None) -> float:
     """Mean of the process in a given season (truncated drift series)."""
-    _require_convergent(model, diagnostic)
-    r_max = truncation if truncation is not None else default_truncation(model)
+    _, r_max = _require_convergent(model, diagnostic, truncation)
     g = green_coefficients(model, season, r_max).nonnegative
     return float(np.dot(g, backwards(model.drift, season, r_max + 1)))
 
@@ -169,10 +177,7 @@ def unconditional_variance(model: PeriodicModel, season: int,
                            truncation: int | None = None,
                            diagnostic: ConvergenceDiagnostic | None = None) -> float:
     """Variance of the process in a given season (truncated squared-weight series)."""
-    _require_convergent(model, diagnostic)
-    r_max = truncation if truncation is not None else default_truncation(model)
-    w = error_weights(model, season, r_max + 1)
-    return float(np.dot(w * w, backwards(model.sigma2, season, r_max + 1)))
+    return autocovariance(model, season, 0, truncation, diagnostic)
 
 
 def autocovariance(model: PeriodicModel, season: int, lag: int,
@@ -186,14 +191,11 @@ def autocovariance(model: PeriodicModel, season: int, lag: int,
     """
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
-    _require_convergent(model, diagnostic)
-    r_max = truncation if truncation is not None else default_truncation(model)
-    t = season
+    _, r_max = _require_convergent(model, diagnostic, truncation)
     tau = season - lag
-    w_t = error_weights(model, t, lag + r_max + 1)
+    w_t = error_weights(model, season, lag + r_max + 1)
     w_tau = error_weights(model, tau, r_max + 1)
-    sig = backwards(model.sigma2, tau, r_max + 1)
-    return float(np.dot(w_t[lag:] * w_tau, sig))
+    return float(np.dot(w_t[lag:] * w_tau, backwards(model.sigma2, tau, r_max + 1)))
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,10 @@ class MomentProfile:
     """Per-season means, variances and autocovariances up to a maximum lag.
 
     ``autocov[s-1, k]`` is ``Cov(y_t, y_{t-k})`` for ``t`` in season ``s``.
-    ``tail_bound`` bounds how much any reported value can still move if
-    the truncation lag were pushed to infinity, assuming the estimated
-    geometric envelope decay holds beyond the truncation point.
+    ``tail_bound`` estimates how far any value could still move if the
+    truncation went to infinity: the last block of ``l`` weights continued
+    geometrically at the exact per-period factor ``rho_hat ** l``, the
+    asymptotic rate, which weights of a non-normal product may not yet follow.
     """
 
     means: np.ndarray
@@ -238,10 +241,9 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     l = model.l
     if truncation is not None and truncation < l:
         raise ValueError(f"truncation must be >= l = {l}, got {truncation}")
-    diag = _require_convergent(model, None)
+    diag, r_max = _require_convergent(model, None, truncation)
     if max_lag is None:
         max_lag = 2 * l
-    r_max = truncation if truncation is not None else default_truncation(model)
 
     # the means and the tail bound read prefixes of one table per season (causal)
     tables = season_tables(model, max_lag + r_max)
@@ -258,18 +260,13 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     variances = autocov[:, 0].copy()
 
     # envelope tail bound: one more block of l lags scaled by the geometric
-    # block ratio q/(1-q); covers means (linear in g) and (co)variances
-    # (quadratic in w) separately
+    # block ratio q/(1-q), q = rho_hat**l; covers means (linear in g) and
+    # (co)variances (quadratic in w) separately
     q_blk = min(diag.rho_hat ** l, 1.0 - 1e-12)
-    bound = 0.0
-    for s in range(1, l + 1):
-        g_last = np.abs(g[s - 1, -l:])
-        w_last = np.abs(weights[s - 1][r_max + 1 - l:r_max + 1])
-        mean_tail = float(np.sum(g_last)) * float(np.max(np.abs(model.drift),
-                                                         initial=0.0))
-        var_tail = float(np.sum(w_last ** 2)) * float(np.max(model.sigma2))
-        bound = max(bound,
-                    mean_tail * q_blk / (1.0 - q_blk),
-                    var_tail * q_blk ** 2 / (1.0 - q_blk ** 2))
+    mean_tail = np.max(np.sum(np.abs(g[:, -l:]), axis=1)) * np.max(np.abs(model.drift))
+    var_tail = np.max(np.sum(weights[:, r_max + 1 - l:r_max + 1] ** 2, axis=1)) \
+        * np.max(model.sigma2)
+    bound = float(max(mean_tail * q_blk / (1.0 - q_blk),
+                      var_tail * q_blk ** 2 / (1.0 - q_blk ** 2)))
     return MomentProfile(means=means, variances=variances, autocov=autocov,
                          truncation=r_max, tail_bound=bound, diagnostic=diag)

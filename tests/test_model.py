@@ -113,6 +113,18 @@ class TestValidate:
         assert [v.kind for v in found] == [SHAPE_MISMATCH]
         assert "got True" in found[0].message
 
+    @pytest.mark.parametrize("shape", [
+        dict(l=True, p=1, q=0, drift=[0.0], ar=[[0.5]]),
+        dict(l=2.5, p=0, q=0, drift=[0.0, 0.0], ar=[]),
+    ])
+    def test_bad_order_with_empty_table_is_a_violation(self, shape):
+        # an empty coefficient table must not be shaped from a bad order
+        model = PeriodicModel(**shape, ma=[], sigma2=[1.0] * len(shape["drift"]))
+        with pytest.raises(ModelValidationError) as err:
+            validate(model)
+        assert [v.kind for v in err.value.violations] == [SHAPE_MISMATCH]
+        assert f"got {shape['l']!r}" in str(err.value)
+
     def test_bad_period_length_short_circuits(self):
         model = PeriodicModel(l=0, p=0, q=0, drift=[], ar=[], ma=[],
                               sigma2=[])

@@ -15,8 +15,9 @@ from parma import (
     unconditional_variance,
 )
 from parma.greens import error_weights
+from parma.vsform import build_vsform, stationarity
 
-from conftest import random_stationary_model
+from conftest import random_model, random_stationary_model
 
 
 def par14(product_root):
@@ -58,6 +59,83 @@ class TestCheckConvergence:
         model = par14(0.5)
         with pytest.raises(ValueError, match="probe_lag"):
             check_convergence(model, probe_lag=4)
+
+    def test_rate_is_the_stacked_root_radius(self, rng):
+        # rho_hat ** l is the spectral radius of the period product of the
+        # companion matrices, whose nonzero eigenvalues are the stacked roots
+        for _ in range(200):
+            model = random_model(rng, q=0, p=int(rng.integers(1, 7)),
+                                 l=int(rng.integers(1, 9)),
+                                 coef_scale=float(rng.uniform(0.3, 1.3)))
+            radius = stationarity(build_vsform(model)).max_root_modulus
+            rho = check_convergence(model).rho_hat
+            assert_allclose(rho ** model.l, radius, rtol=1e-10)
+
+    def test_overflow_guard_reads_the_probe_lag(self, rng):
+        # tail_value is max |g| at probe_lag over the anchors, any probe_lag
+        for _ in range(20):
+            model = random_stationary_model(rng, q=0, p=int(rng.integers(1, 6)),
+                                            l=int(rng.integers(1, 7)))
+            if model.p == 0:
+                continue
+            lag = int(rng.integers(2 * model.l, 6 * model.l + 5))
+            want = max(abs(green_coefficients(model, s, lag).value(lag))
+                       for s in range(1, model.l + 1))
+            assert_allclose(check_convergence(model, probe_lag=lag).tail_value,
+                            want, rtol=1e-9, atol=1e-300)
+        # a negative margin lets explosive rates reach the guard
+        ok = check_convergence(PeriodicModel.constant(ar=[1.5]), margin=-1.0)
+        assert ok.passed
+        assert_allclose(ok.tail_value, 1.5 ** 400, rtol=1e-12)
+        big = check_convergence(PeriodicModel.constant(ar=[1.9]), margin=-1.0)
+        assert not big.passed and big.tail_value > 1e100
+        inf = check_convergence(PeriodicModel.constant(ar=[7.0]), margin=-10.0)
+        assert not inf.passed and inf.tail_value == np.inf
+
+    def test_explosive_daily_product_does_not_overflow(self):
+        # 7 ** 365 overflows a double; the rate must still come out exact
+        model = PeriodicModel.constant(ar=[7.0, 0.0], l=365)
+        diag = check_convergence(model)
+        assert_allclose(diag.rho_hat, 7.0, rtol=1e-12)
+        assert not diag.passed
+        with pytest.raises(NotConvergentError):
+            unconditional_variance(model, 1, truncation=730)
+
+    def test_fast_daily_decay_does_not_underflow(self):
+        # 0.1 ** 365 underflows a double; the rate must not read 0
+        diag = check_convergence(PeriodicModel.constant(ar=[0.1], l=365))
+        assert diag.passed
+        assert_allclose(diag.rho_hat, 0.1, rtol=1e-12)
+
+    def test_daily_stationary_model_passes(self):
+        rng = np.random.default_rng(365)
+        l = 365
+        ar = rng.uniform(-0.05, 0.05, (4, l))
+        ar[0] = 0.75 + 0.12 * np.sin(2 * np.pi * np.arange(l) / l) \
+            + rng.uniform(-0.03, 0.03, l)
+        model = PeriodicModel(l=l, p=4, q=2, drift=rng.uniform(-1, 1, l), ar=ar,
+                              ma=rng.uniform(-0.6, 0.6, (2, l)),
+                              sigma2=rng.uniform(0.5, 2.0, l))
+        diag = check_convergence(model)
+        assert diag.passed and 0.5 < diag.rho_hat < 0.9
+        prof = moment_profile(model, max_lag=2)
+        assert np.all(np.isfinite(prof.autocov)) and np.all(np.isfinite(prof.means))
+        assert 0.0 < prof.tail_bound < 1e-12
+
+    def test_stationary_model_near_the_band_passes(self):
+        # stacked radius 0.9687: slow enough that ratios of Green values over
+        # a finite window can read above one
+        ar = [[-0.86, 0.53, -0.18, -0.85, -0.96, -0.29, -0.93, -0.96, -0.25, -0.7, -0.89, -0.25],
+              [0.9, -0.63, 0.98, -0.82, 0.75, -0.49, -0.85, 0.12, -0.88, 0.52, 0.86, 0.1],
+              [-0.67, 0.18, 0.24, -0.85, -0.41, 0.95, 0.58, -0.6, 0.16, -0.94, -0.96, 0.5],
+              [-0.71, 0.2, -0.09, -0.2, -0.05, 0.81, -0.35, 0.63, 0.79, 0.21, -0.74, -0.72]]
+        model = PeriodicModel(l=12, p=4, q=0, drift=np.zeros(12), ar=ar, ma=[],
+                              sigma2=np.ones(12))
+        radius = stationarity(build_vsform(model)).max_root_modulus
+        assert 0.95 < radius < 0.98
+        diag = check_convergence(model)
+        assert diag.passed
+        assert_allclose(diag.rho_hat ** 12, radius, rtol=1e-10)
 
 
 class TestUnconditionalMean:
@@ -213,6 +291,38 @@ class TestMomentProfile:
         prof = moment_profile(model, max_lag=2, truncation=12)
         true_var = (1 + 2 * 0.9 * 0.5 + 0.5 ** 2) / (1 - 0.9 ** 2)
         assert true_var - prof.variances[0] <= prof.tail_bound * (1 + 1e-9)
+
+    def test_default_truncation_matches_per_season_loop(self, rng):
+        def per_season_loop(model):
+            # one table per season, probes doubling from max(8l, 64)
+            l = model.l
+            if model.p == 0:
+                return max(l, model.q + 1)
+            probe = max(8 * l, 64)
+            while True:
+                probe = min(probe, 10_000)
+                tables = [green_coefficients(model, s, probe) for s in range(1, l + 1)]
+                for r in range(l, probe + 1, l):
+                    if all(abs(t.value(r)) < 1e-14 * np.max(np.abs(t.nonnegative))
+                           for t in tables):
+                        return max(r, 2 * l)
+                if probe >= 10_000:
+                    return 10_000
+                probe = min(2 * probe, 10_000)
+
+        at_cap = [PeriodicModel.constant(ar=[1.001]),          # explosive
+                  PeriodicModel.constant(ar=[0.999]),          # slow decay
+                  par14(1.0005 ** 0.25)]                       # explosive, l=4
+        models = at_cap + [
+            random_model(rng, l=int(rng.integers(1, 7)), p=int(rng.integers(0, 6)),
+                         coef_scale=float(rng.uniform(0.3, 1.3)))
+            for _ in range(60)]
+        assert any(m.l == 1 and m.p > 1 for m in models[3:])
+        assert any(m.l > 1 and m.p > m.l for m in models[3:])
+        for i, model in enumerate(models):
+            want = per_season_loop(model)
+            assert default_truncation(model) == want
+            assert want == 10_000 or i >= len(at_cap)
 
     def test_default_truncation_is_period_aligned(self, rng):
         model = random_stationary_model(rng, l=3)
