@@ -26,6 +26,7 @@ from .forecast import (
     ForecastOrigin,
     ForecastReport,
     MissingInnovationTailError,
+    NonFiniteForecastError,
     mse_profile,
     predict,
 )

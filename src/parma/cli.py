@@ -36,7 +36,7 @@ from .greens import (
 )
 from .model import ModelValidationError
 from .modelio import FileFormatError, dump_path, format_number, load_model, load_series
-from .moments import NotConvergentError, check_convergence, moment_profile
+from .moments import NotConvergentError, moment_profile
 from .sim import SimPlan, simulate
 from .vsform import build_vsform, par24_restriction, stationarity, one_period_cross_check
 
@@ -169,12 +169,12 @@ def _cmd_moments(model, args, out):
         raise _UsageError("max lag must be >= 0")
     if args.truncation is not None and args.truncation < 1:
         raise _UsageError("truncation must be >= 1")
-    diag = check_convergence(model)
+    prof = moment_profile(model, max_lag=args.max_lag,
+                          truncation=args.truncation)
+    diag = prof.diagnostic
     out.write(f"# convergence: rho_hat={_fmt(diag.rho_hat)} "
               f"passed={str(diag.passed).lower()} "
               f"probe_lag={diag.probe_lag}\n")
-    prof = moment_profile(model, max_lag=args.max_lag,
-                          truncation=args.truncation)
     out.write(f"# truncation={prof.truncation} "
               f"tail_bound={_fmt(prof.tail_bound)}\n")
     writer = csv.writer(out, lineterminator="\n")

@@ -35,6 +35,7 @@ __all__ = [
     "ForecastOrigin",
     "ForecastReport",
     "MissingInnovationTailError",
+    "NonFiniteForecastError",
     "predict",
     "mse_profile",
 ]
@@ -42,6 +43,22 @@ __all__ = [
 
 class MissingInnovationTailError(ValueError):
     """An MA model was asked to forecast without its pre-origin innovations."""
+
+
+class NonFiniteForecastError(ValueError):
+    """A forecast point or mean-square error is inf or NaN; the message names the first."""
+
+
+def _require_finite(mses: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
+    """``mses`` if it and ``points`` are finite, else the error for the first bad horizon."""
+    ok = np.isfinite(mses) & np.isfinite(mses if points is None else points)
+    if not ok.all():
+        h = int(np.argmin(ok)) + 1
+        at = "" if points is None else f"point={points[h - 1]}, "
+        raise NonFiniteForecastError(
+            f"forecast is not finite from horizon {h} ({at}mse={mses[h - 1]}): "
+            "the weights overflow or an input is not finite")
+    return mses
 
 
 @dataclass(frozen=True)
@@ -143,6 +160,8 @@ def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> F
     ------
     MissingInnovationTailError
         When ``q >= 1`` and the origin carries no innovation tail.
+    NonFiniteForecastError
+        When a point or mean-square error overflows or is NaN.
     """
     _check_origin(model, origin)
     tau, p = origin.time, model.p
@@ -165,6 +184,7 @@ def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> F
         known = _known_weights(model, tau + hs, hs, g, rows)
         adjustments = np.array([np.dot(w, origin.innovations) for w in known])
         points += adjustments
+    _require_finite(mses, points)
 
     return ForecastReport(
         origin=tau, points=points, mses=mses, error_weights=tuple(views),
@@ -178,4 +198,4 @@ def mse_profile(model: PeriodicModel, origin_time: int, max_horizon: int) -> np.
     the periodic variance schedule enter.
     """
     validate(model)
-    return _target_rows(model, origin_time, max_horizon)[3]
+    return _require_finite(_target_rows(model, origin_time, max_horizon)[3])

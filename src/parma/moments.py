@@ -138,7 +138,7 @@ def _require_convergent(model: PeriodicModel, diagnostic: ConvergenceDiagnostic 
         raise NotConvergentError(
             f"weight series does not decay (rho_hat={diag.rho_hat:.6g}); "
             "unconditional moments do not exist")
-    return diag, truncation if truncation is not None else default_truncation(model)
+    return diag, truncation if truncation is not None else _truncation(model, diag.rho_hat)
 
 
 def default_truncation(model: PeriodicModel) -> int:
@@ -146,10 +146,14 @@ def default_truncation(model: PeriodicModel) -> int:
     below 1e-14 of that table's largest; the first probe lag comes from the decay
     rate, and the probe doubles up to 10,000 lags."""
     validate(model)
+    return _truncation(model, _decay_rate(model) if model.p else 0.0)
+
+
+def _truncation(model: PeriodicModel, rho: float) -> int:
+    """:func:`default_truncation` given the model's decay rate ``rho``."""
     l = model.l
     if model.p == 0:
         return max(l, model.q + 1)
-    rho = _decay_rate(model)
     probe = max(8 * l, 64) if rho >= 1.0 else 2 * l
     if 0.0 < rho < 1.0:
         probe = l * max(2, int(np.ceil(np.log(_REL_TAIL) / (l * np.log(rho)))))

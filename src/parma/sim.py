@@ -8,10 +8,11 @@ point, which makes every stored observation exactly replayable from the
 recursion.
 
 One recursion kernel, :func:`_recurse`, serves ``simulate``, ``replay`` and
-``mc_forecast_experiment``: it steps through time and carries either one
-path as Python floats or many paths as one numpy row per step.  Elementwise
-float64 arithmetic rounds like Python floats, so a path gets the same bits
-whether it runs alone or in a batch.
+``mc_forecast_experiment``: it adds the drift and MA forcing of all steps
+with array ops, then steps the AR part through time, carrying one path as
+Python floats or many paths as one numpy row per step.  Elementwise float64
+arithmetic rounds like Python floats, so a path gets the same bits whether
+it runs alone or in a batch.
 
 Stationary models are burned in from a zero start; models failing the
 convergence diagnostic are simulated conditionally from exact zero initial
@@ -21,6 +22,7 @@ is nothing to converge to).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,37 +122,43 @@ def _recurse(model: PeriodicModel, eps: np.ndarray, pre_y, pre_eps,
              t0: int) -> np.ndarray:
     """Run the difference equation over ``eps`` from time ``t0``.
 
-    ``eps`` is either one path, shape ``(n,)``, stepped as Python floats, or
-    many paths, time-major shape ``(n, n_paths)``, stepped one numpy row at
-    a time; the result has the shape of ``eps``.  ``pre_y`` and ``pre_eps``
-    hold the ``p`` values and ``q`` innovations before ``t0``, newest first
-    (scalars, or rows of ``n_paths``).  Every caller flows through this loop,
-    so replayed values are bit-identical to generated ones.
+    ``eps`` is one path, shape ``(n,)``, or many paths, time-major shape
+    ``(n, n_paths)``; the result has its shape.  ``pre_y``/``pre_eps`` hold the
+    ``p`` values and ``q`` innovations before ``t0``, newest first, shared by all
+    paths.  The forcing ``drift + eps_t + sum_j theta_j eps_{t-j}`` comes first,
+    elementwise in row blocks of about 128 KB written into the result; the AR
+    terms ``sum_m phi_m y_{t-m}`` then step through time (one path as Python
+    floats, many paths one row in place).  Each value gets the operations of one
+    per-step loop in its order (theta terms by j, then phi terms by m), and
+    float64 numpy ops round like Python floats, so a path has the same bits
+    alone, in a batch and on replay.
     """
     p, q, l = model.p, model.q, model.l
-    drift = model.drift.tolist()
-    ar = model.ar.tolist()
-    ma = model.ma.tolist()
-    state = list(pre_y)
-    hist = list(pre_eps)
-    if eps.ndim == 1:
-        steps, out = eps.tolist(), [0.0] * len(eps)
-    else:
-        steps, out = eps, np.empty(eps.shape)
+    n, out = len(eps), np.empty(eps.shape)
+    seasons = (t0 - 1 + np.arange(n)) % l
+    col = (n,) + (1,) * (eps.ndim - 1)  # per-row values broadcast across paths
+    drift, theta = model.drift[seasons].reshape(col), model.ma[:, seasons].reshape((q,) + col)
+    pre = np.asarray(pre_eps, dtype=float)[:q].reshape((-1,) + col[1:])
+    step = max(1, (1 << 14) // int(np.prod(eps.shape[1:])))  # rows per block of about 128 KB
+    buf = np.empty((min(step, n),) + eps.shape[1:])
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        block = np.add(drift[a:b], eps[a:b], out=out[a:b])
+        for j in range(1, q + 1):
+            k = min(max(j - a, 0), b - a)  # rows whose lag-j innovation precedes t0
+            block[:k] += theta[j - 1, a:a + k] * pre[j - 1 - a::-1][:k]
+            block[k:] += np.multiply(theta[j - 1, a + k:b], eps[a + k - j:b - j],
+                                     out=buf[:b - a - k])
+    phi = model.ar.T.tolist()  # phi[s] = [phi_1, ..., phi_p] of season0 s
     s0 = (t0 - 1) % l
-    for i, e in enumerate(steps):
-        v = drift[s0] + e
-        for j in range(q):
-            v += ma[j][s0] * hist[j]
-        for m in range(p):
-            v += ar[m][s0] * state[m]
-        out[i] = v
-        if p:
-            state = [v] + state[:-1]
-        if q:
-            hist = [e] + hist[:-1]
-        s0 = s0 + 1 if s0 + 1 < l else 0
-    return np.asarray(out)
+    vals = np.asarray(pre_y, dtype=float)[:p][::-1].tolist()  # oldest first
+    vals += out.tolist() if eps.ndim == 1 else list(out)
+    for i, coefs in zip(range(p, p + n), itertools.cycle(phi[s0:] + phi[:s0])):
+        v = vals[i]
+        for m, a in enumerate(coefs, start=1):
+            v += a * vals[i - m]
+        vals[i] = v
+    return np.array(vals[p:]) if eps.ndim == 1 else out
 
 
 def _resolve_burn_in(plan: SimPlan) -> int:
@@ -238,6 +246,9 @@ def replay(model: PeriodicModel, path: SamplePath) -> np.ndarray:
     Bit-identical to the stored values: the same recursion kernel runs on
     the same floats.
     """
+    if len(path.pre_y) < model.p or len(path.pre_eps) < model.q:
+        raise ValueError(f"replay needs the p={model.p} values and q={model.q} "
+                         "innovations before the path")
     return _recurse(model, path.eps, path.pre_y, path.pre_eps, path.start)
 
 

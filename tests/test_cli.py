@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from parma.cli import main
@@ -129,9 +130,22 @@ class TestExitCodes:
                "drift: [0.0]\nar:\n- [1.5]\nma: []\nsigma2: [1.0]\n")
         target = tmp_path / "explosive.yaml"
         target.write_text(doc)
-        code, _, err = run(capsys, "moments", str(target))
+        code, out, err = run(capsys, "moments", str(target))
         assert code == 1
         assert "rho_hat" in err
+        assert out == ""
+
+    def test_explosive_forecast_is_1(self, capsys, tmp_path):
+        # phi = 3: the MSE overflows to inf at horizon 324, the point to nan later
+        doc = ("schema: parma-model-v1\nl: 4\np: 1\nq: 0\ndrift: [0, 0, 0, 0]\n"
+               "ar:\n- [3, 3, 3, 3]\nma: []\nsigma2: [1, 1, 1, 1]\n")
+        (tmp_path / "phi3.yaml").write_text(doc)
+        (tmp_path / "y.csv").write_text("time,season,value\n3,3,0.5\n4,4,1.0\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "forecast", str(tmp_path / "phi3.yaml"),
+                                 "--series", str(tmp_path / "y.csv"), "-H", "800")
+        assert code == 1
+        assert out == "" and "not finite from horizon 324" in err
 
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as exc:

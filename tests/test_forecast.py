@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from parma import (
     ForecastOrigin,
     MissingInnovationTailError,
+    NonFiniteForecastError,
     PeriodicModel,
     SolutionInput,
     direct_recursion,
@@ -45,6 +46,29 @@ class TestPredictContracts:
         origin = ForecastOrigin(time=0, tail=[1.0], innovations=[0.5])
         with pytest.raises(ValueError, match="q=2"):
             predict(model, origin, 4)
+
+
+class TestNonFiniteForecasts:
+    """Overflowed or NaN forecasts raise instead of returning plausible rows."""
+
+    def test_explosive_forecast_names_first_horizon(self):
+        # phi = 3: the MSE overflows to inf at horizon 324, the point to nan at 647
+        model = PeriodicModel.constant(ar=[3.0], l=4)
+        origin = ForecastOrigin(time=4, tail=[1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteForecastError, match="from horizon 324 "):
+                predict(model, origin, 800)
+            with pytest.raises(NonFiniteForecastError, match="from horizon 324 "):
+                mse_profile(model, 4, 800)
+            report = predict(model, origin, 323)
+        assert np.all(np.isfinite(report.points)) and np.all(np.isfinite(report.mses))
+        assert np.array_equal(mse_profile(model, 4, 323), report.mses)
+
+    def test_nan_origin_value_is_named(self):
+        origin = ForecastOrigin(time=2, tail=[np.nan])
+        with pytest.raises(NonFiniteForecastError, match=r"horizon 1 \(point=nan, mse=1.0\)"):
+            predict(par12(), origin, 3)
+        assert issubclass(NonFiniteForecastError, ValueError)
 
 
 class TestPointForecasts:

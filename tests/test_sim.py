@@ -1,19 +1,27 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from parma import (
     autocovariance,
     ForecastOrigin,
     PeriodicModel,
+    SamplePath,
     SimPlan,
+    SolutionInput,
     McForecastRow,
+    direct_recursion,
     mc_forecast_experiment,
     predict,
     replay,
     simulate,
     unconditional_variance,
 )
+from parma.sim import _recurse
 
 from conftest import random_model
 
@@ -85,6 +93,15 @@ class TestDeterminismAndReplay:
                                  l=int(rng.integers(1, 5)), coef_scale=0.4)
             path = simulate(SimPlan(model, length=300, seed=5))
             assert np.array_equal(replay(model, path), path.y)
+
+    def test_replay_rejects_a_short_pre_history(self, rng):
+        model = random_model(rng, p=2, q=1, l=3, coef_scale=0.3)
+        path = simulate(SimPlan(model, length=20, seed=4))
+        for pre_y, pre_eps in ((path.pre_y[:1], path.pre_eps), (path.pre_y, path.pre_eps[:0])):
+            short = SamplePath(start=1, seasons=path.seasons, y=path.y, eps=path.eps,
+                               pre_y=pre_y, pre_eps=pre_eps)
+            with pytest.raises(ValueError, match="p=2 values and q=1"):
+                replay(model, short)
 
     def test_explosive_paths_replay_from_zero_start(self):
         model = PeriodicModel.constant(ar=[1.3], l=2)
@@ -311,3 +328,122 @@ class TestOneRecursionKernel:
                                    dist="student-t", df=2.0)
         with pytest.raises(ValueError, match="dist must be"):
             mc_forecast_experiment(white_noise(), origin, 2, 10, dist="custom")
+
+
+def per_step_recurse(model, eps, pre_y, pre_eps, t0):
+    """Reference: one loop adding drift, MA and AR terms step by step (the
+    kernel before the forcing moved into array ops)."""
+    p, q, l = model.p, model.q, model.l
+    drift = model.drift.tolist()
+    ar = model.ar.tolist()
+    ma = model.ma.tolist()
+    state = list(pre_y)
+    hist = list(pre_eps)
+    if eps.ndim == 1:
+        steps, out = eps.tolist(), [0.0] * len(eps)
+    else:
+        steps, out = eps, np.empty(eps.shape)
+    s0 = (t0 - 1) % l
+    for i, e in enumerate(steps):
+        v = drift[s0] + e
+        for j in range(q):
+            v += ma[j][s0] * hist[j]
+        for m in range(p):
+            v += ar[m][s0] * state[m]
+        out[i] = v
+        if p:
+            state = [v] + state[:-1]
+        if q:
+            hist = [e] + hist[:-1]
+        s0 = s0 + 1 if s0 + 1 < l else 0
+    return np.asarray(out)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestKernelProperties:
+    """Property suite: the two-stage kernel keeps the per-step loop's bits."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(l=st.integers(1, 13), p=st.integers(0, 6), q=st.integers(0, 4),
+           n=st.integers(0, 40), t0=st.integers(-50, 50),
+           layout=st.sampled_from(["1-D", "2-D", "eps.T"]), n_paths=st.integers(1, 4),
+           scale=st.sampled_from([0.3, 1.5]), seed=st.integers(0, 2**32 - 1))
+    @example(l=1, p=3, q=2, n=30, t0=-7, layout="1-D", n_paths=1, scale=0.3, seed=1)
+    @example(l=2, p=5, q=1, n=25, t0=3, layout="eps.T", n_paths=3, scale=0.3, seed=2)
+    @example(l=4, p=1, q=4, n=3, t0=-50, layout="2-D", n_paths=2, scale=1.5, seed=3)
+    @example(l=3, p=0, q=2, n=12, t0=0, layout="eps.T", n_paths=4, scale=0.3, seed=4)
+    @example(l=5, p=2, q=0, n=0, t0=50, layout="1-D", n_paths=1, scale=0.3, seed=5)
+    def test_kernel_equals_per_step_loop(self, l, p, q, n, t0, layout, n_paths, scale,
+                                         seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, p=p, q=q, l=l, coef_scale=scale)
+        eps = {"1-D": lambda: rng.normal(size=n),
+               "2-D": lambda: rng.normal(size=(n, n_paths)),
+               "eps.T": lambda: rng.normal(size=(n_paths, n)).T}[layout]()
+        pre_y, pre_eps = rng.normal(size=p), rng.normal(size=q)
+        assert same_bits(_recurse(model, eps, pre_y, pre_eps, t0),
+                         per_step_recurse(model, eps, pre_y, pre_eps, t0))
+
+    @settings(PROPERTY, max_examples=40)
+    @given(l=st.integers(1, 13), p=st.integers(0, 6), q=st.integers(0, 4),
+           length=st.integers(1, 120), k=st.integers(2, 4),
+           dist=st.sampled_from(["gaussian", "student-t"]), seed=st.integers(0, 2**32 - 1))
+    @example(l=1, p=4, q=3, length=5, k=2, dist="gaussian", seed=0)
+    def test_simulate_replay_and_batches(self, l, p, q, length, k, dist, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, p=p, q=q, l=l, coef_scale=0.25)
+        df = 5.0 if dist == "student-t" else None
+        single = simulate(SimPlan(model, length=length, seed=seed, dist=dist, df=df))
+        batch = simulate(SimPlan(model, length=length, n_paths=k, seed=seed,
+                                 dist=dist, df=df))
+        assert same_bits(replay(model, single), single.y)
+        for name in ("y", "eps", "pre_y", "pre_eps"):
+            assert same_bits(getattr(batch[0], name), getattr(single, name))
+        for path in batch:
+            assert same_bits(replay(model, path), path.y)
+        # the first points against the step-by-step oracle from the pre-history
+        chrono = np.concatenate([single.pre_eps[::-1], single.eps])
+        for steps in range(1, min(length, 10) + 1):
+            want = direct_recursion(SolutionInput(
+                model, origin=single.start - 1, steps=steps, initial=single.pre_y,
+                innovations=chrono[:steps + q]))
+            got = single.y[steps - 1]
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want))
+
+
+class TestKernelCost:
+    def test_mc_memory_stays_near_the_draws(self):
+        # draws and result are one (H, n_paths) float64 array each; the forcing
+        # runs in row blocks, so no third array of that size appears
+        rng = np.random.default_rng(52)
+        model = random_model(rng, p=2, q=1, l=52, coef_scale=0.3)
+        origin = ForecastOrigin(time=60, tail=[0.5, -0.2], innovations=[0.1])
+        horizon, n_paths = 104, 20_000
+        tracemalloc.start()
+        try:
+            mc_forecast_experiment(model, origin, horizon, n_paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * horizon * n_paths * 8
+
+    def test_long_replay_beats_the_per_step_loop(self):
+        rng = np.random.default_rng(64)
+        model = random_model(rng, p=2, q=1, l=52, coef_scale=0.3)
+        path = simulate(SimPlan(model, length=64_000, seed=3))
+        args = (model, path.eps, path.pre_y, path.pre_eps, path.start)
+        kernel, loop = [], []
+        for _ in range(3):  # interleaved, so a host speed change hits both
+            for times, run in ((kernel, lambda: replay(model, path)),
+                               (loop, lambda: per_step_recurse(*args))):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+        assert min(kernel) < 0.6 * min(loop)
