@@ -164,27 +164,28 @@ def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> F
         When a point or mean-square error overflows or is NaN.
     """
     _check_origin(model, origin)
-    tau, p = origin.time, model.p
-    tables, rows, views, mses = _target_rows(model, tau, max_horizon)
-    pad = max(p, 1) - 1
-    g = tables[:, pad:]
-    hs = np.arange(1, max_horizon + 1)
-    pairs = list(enumerate(rows.tolist(), start=1))
-    drift = backwards(model.drift, tau + max_horizon, max_horizon)
-    points = np.array([np.dot(g[r, :h], drift[max_horizon - h:]) for h, r in pairs])
-    if p:
-        points += g[rows, hs] * origin.tail[0]
-        for m, coefs in enumerate(homogeneous_coefficients(model, tau), start=1):
-            acc = np.zeros(max_horizon)
-            for i, c in enumerate(coefs, start=1):
-                acc += c * tables[rows, pad + hs - i]  # lag h-i may be a seed
-            points += acc * origin.tail[m]
-    adjustments = np.zeros(max_horizon)
-    if model.q:
-        known = _known_weights(model, tau + hs, hs, g, rows)
-        adjustments = np.array([np.dot(w, origin.innovations) for w in known])
-        points += adjustments
-    _require_finite(mses, points)
+    with np.errstate(all="ignore"):  # _require_finite reports non-finite values
+        tau, p = origin.time, model.p
+        tables, rows, views, mses = _target_rows(model, tau, max_horizon)
+        pad = max(p, 1) - 1
+        g = tables[:, pad:]
+        hs = np.arange(1, max_horizon + 1)
+        pairs = list(enumerate(rows.tolist(), start=1))
+        drift = backwards(model.drift, tau + max_horizon, max_horizon)
+        points = np.array([np.dot(g[r, :h], drift[max_horizon - h:]) for h, r in pairs])
+        if p:
+            points += g[rows, hs] * origin.tail[0]
+            for m, coefs in enumerate(homogeneous_coefficients(model, tau), start=1):
+                acc = np.zeros(max_horizon)
+                for i, c in enumerate(coefs, start=1):
+                    acc += c * tables[rows, pad + hs - i]  # lag h-i may be a seed
+                points += acc * origin.tail[m]
+        adjustments = np.zeros(max_horizon)
+        if model.q:
+            known = _known_weights(model, tau + hs, hs, g, rows)
+            adjustments = np.array([np.dot(w, origin.innovations) for w in known])
+            points += adjustments
+        _require_finite(mses, points)
 
     return ForecastReport(
         origin=tau, points=points, mses=mses, error_weights=tuple(views),
@@ -198,4 +199,5 @@ def mse_profile(model: PeriodicModel, origin_time: int, max_horizon: int) -> np.
     the periodic variance schedule enter.
     """
     validate(model)
-    return _require_finite(_target_rows(model, origin_time, max_horizon)[3])
+    with np.errstate(all="ignore"):  # _require_finite reports non-finite values
+        return _require_finite(_target_rows(model, origin_time, max_horizon)[3])

@@ -10,9 +10,10 @@ recursion.
 One recursion kernel, :func:`_recurse`, serves ``simulate``, ``replay`` and
 ``mc_forecast_experiment``: it adds the drift and MA forcing of all steps
 with array ops, then steps the AR part through time, carrying one path as
-Python floats or many paths as one numpy row per step.  Elementwise float64
-arithmetic rounds like Python floats, so a path gets the same bits whether
-it runs alone or in a batch.
+Python floats or many paths as one numpy row per step.  Each step appends its
+value to one history list and reads the ``p`` before it from that list's tail.
+Elementwise float64 arithmetic rounds like Python floats, so a path gets the
+same bits whether it runs alone or in a batch.
 
 Stationary models are burned in from a zero start; models failing the
 convergence diagnostic are simulated conditionally from exact zero initial
@@ -128,10 +129,12 @@ def _recurse(model: PeriodicModel, eps: np.ndarray, pre_y, pre_eps,
     paths.  The forcing ``drift + eps_t + sum_j theta_j eps_{t-j}`` comes first,
     elementwise in row blocks of about 128 KB written into the result; the AR
     terms ``sum_m phi_m y_{t-m}`` then step through time (one path as Python
-    floats, many paths one row in place).  Each value gets the operations of one
-    per-step loop in its order (theta terms by j, then phi terms by m), and
-    float64 numpy ops round like Python floats, so a path has the same bits
-    alone, in a batch and on replay.
+    floats, many paths one row in place), each step appending its value to a
+    history list that starts as ``pre_y`` and reading ``y_{t-m}`` as its
+    ``m``-th last entry, with no index arithmetic.  Each value gets the
+    operations of one per-step loop in its order (theta terms by j, then phi
+    terms by m), and float64 numpy ops round like Python floats, so a path has
+    the same bits alone, in a batch and on replay.
     """
     p, q, l = model.p, model.q, model.l
     n, out = len(eps), np.empty(eps.shape)
@@ -149,16 +152,16 @@ def _recurse(model: PeriodicModel, eps: np.ndarray, pre_y, pre_eps,
             block[:k] += theta[j - 1, a:a + k] * pre[j - 1 - a::-1][:k]
             block[k:] += np.multiply(theta[j - 1, a + k:b], eps[a + k - j:b - j],
                                      out=buf[:b - a - k])
-    phi = model.ar.T.tolist()  # phi[s] = [phi_1, ..., phi_p] of season0 s
+    # terms[s] = [(phi_1, -1), ..., (phi_p, -p)] of season0 s: y_{t-m} is hist[-m]
+    terms = [[(a, -m) for m, a in enumerate(row, start=1)] for row in model.ar.T.tolist()]
     s0 = (t0 - 1) % l
-    vals = np.asarray(pre_y, dtype=float)[:p][::-1].tolist()  # oldest first
-    vals += out.tolist() if eps.ndim == 1 else list(out)
-    for i, coefs in zip(range(p, p + n), itertools.cycle(phi[s0:] + phi[:s0])):
-        v = vals[i]
-        for m, a in enumerate(coefs, start=1):
-            v += a * vals[i - m]
-        vals[i] = v
-    return np.array(vals[p:]) if eps.ndim == 1 else out
+    hist = np.asarray(pre_y, dtype=float)[:p][::-1].tolist()  # oldest first
+    for v, pairs in zip(out.tolist() if eps.ndim == 1 else list(out),
+                        itertools.cycle(terms[s0:] + terms[:s0])):
+        for a, m in pairs:
+            v += a * hist[m]
+        hist.append(v)
+    return np.fromiter(itertools.islice(hist, p, None), float, n) if eps.ndim == 1 else out
 
 
 def _resolve_burn_in(plan: SimPlan) -> int:

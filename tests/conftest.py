@@ -22,6 +22,11 @@ def random_model(rng, p=None, q=None, l=None, coef_scale=1.0,
     )
 
 
+def same_bits(a, b):
+    """Equal shape, dtype and every bit of every value."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def random_stationary_model(rng, max_tries=200, **kwargs) -> PeriodicModel:
     """Rejection-sample a model whose stacked AR companion radius is < 0.95."""
     from parma.vsform import build_vsform, stationarity

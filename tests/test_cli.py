@@ -141,11 +141,17 @@ class TestExitCodes:
                "ar:\n- [3, 3, 3, 3]\nma: []\nsigma2: [1, 1, 1, 1]\n")
         (tmp_path / "phi3.yaml").write_text(doc)
         (tmp_path / "y.csv").write_text("time,season,value\n3,3,0.5\n4,4,1.0\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "forecast", str(tmp_path / "phi3.yaml"),
-                                 "--series", str(tmp_path / "y.csv"), "-H", "800")
+        code, out, err = run(capsys, "forecast", str(tmp_path / "phi3.yaml"),
+                             "--series", str(tmp_path / "y.csv"), "-H", "800")
         assert code == 1
         assert out == "" and "not finite from horizon 324" in err
+        # a fresh process shows numpy's warnings; stderr holds the error line alone
+        proc = subprocess.run(
+            [sys.executable, "-m", "parma.cli", "forecast", str(tmp_path / "phi3.yaml"),
+             "--series", str(tmp_path / "y.csv"), "-H", "800"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == err and err.count("\n") == 1 and err.startswith("error: ")
 
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -55,14 +56,24 @@ class TestNonFiniteForecasts:
         # phi = 3: the MSE overflows to inf at horizon 324, the point to nan at 647
         model = PeriodicModel.constant(ar=[3.0], l=4)
         origin = ForecastOrigin(time=4, tail=[1.0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteForecastError, match="from horizon 324 "):
-                predict(model, origin, 800)
-            with pytest.raises(NonFiniteForecastError, match="from horizon 324 "):
-                mse_profile(model, 4, 800)
-            report = predict(model, origin, 323)
+        with pytest.raises(NonFiniteForecastError, match="from horizon 324 "):
+            predict(model, origin, 800)
+        with pytest.raises(NonFiniteForecastError, match="from horizon 324 "):
+            mse_profile(model, 4, 800)
+        report = predict(model, origin, 323)
         assert np.all(np.isfinite(report.points)) and np.all(np.isfinite(report.mses))
         assert np.array_equal(mse_profile(model, 4, 323), report.mses)
+
+    def test_overflow_raises_the_typed_error_not_a_warning(self):
+        # numpy's overflow and invalid-value warnings stay inside the call, so
+        # a caller treating warnings as errors still sees NonFiniteForecastError
+        model = PeriodicModel.constant(ar=[3.0], l=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteForecastError, match="from horizon 324 "):
+                predict(model, ForecastOrigin(time=4, tail=[1.0]), 800)
+            with pytest.raises(NonFiniteForecastError, match="from horizon 324 "):
+                mse_profile(model, 4, 800)
 
     def test_nan_origin_value_is_named(self):
         origin = ForecastOrigin(time=2, tail=[np.nan])

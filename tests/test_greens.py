@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from parma import (
@@ -11,6 +12,7 @@ from parma import (
     build_fundamental,
     direct_recursion,
     error_weights,
+    general_solution,
     green_coefficients,
     known_innovation_weights,
     laplace_determinant,
@@ -19,7 +21,7 @@ from parma import (
 )
 from parma.greens import _season_weights
 
-from conftest import naive_error_weights, naive_known_weights, random_model
+from conftest import naive_error_weights, naive_known_weights, random_model, same_bits
 
 
 def psi_by_power_series(phi, theta, n):
@@ -216,6 +218,97 @@ class TestGreenRecurrence:
         model = PeriodicModel.constant(ar=[2.0], l=1)
         assert green_coefficients(model, 0, 400).overflowing
         assert not green_coefficients(model, 0, 10).overflowing
+
+
+def indexed_green_loop(model, t, max_lag):
+    """Reference: the scalar recurrence with one table lookup and one index
+    subtraction per term (the kernel before it read the list's tail)."""
+    p, l = model.p, model.l
+    pad = max(p, 1) - 1
+    out = np.zeros(pad + max_lag + 1)
+    out[pad] = 1.0
+    if p > 0 and max_lag > 0:
+        ar_rows = model.ar.tolist()
+        g = [0.0] * (max_lag + 1)
+        g[0] = 1.0
+        for k in range(1, max_lag + 1):
+            base = t - k - 1  # season0 of time t-k+i is (base + i) % l
+            top = p if p < k else k
+            acc = 0.0
+            for i in range(1, top + 1):
+                acc += ar_rows[i - 1][(base + i) % l] * g[k - i]
+            g[k] = acc
+        out[pad:] = g
+    return out
+
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+#: model shapes and anchors; the explicit examples pin l = 1, p > l, q > p and p = 0
+MODELS = dict(l=st.integers(1, 13), p=st.integers(0, 6), q=st.integers(0, 4),
+              t=st.integers(-40, 40), seed=st.integers(0, 2**32 - 1))
+
+
+class TestRecurrenceProperties:
+    """Hypothesis suite: the Green recurrence against its oracles."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(max_lag=st.integers(0, 60), scale=st.sampled_from([0.3, 1.5, 4.0]), **MODELS)
+    @example(l=1, p=3, q=0, t=5, seed=1, max_lag=20, scale=0.3)
+    @example(l=2, p=6, q=1, t=-7, seed=2, max_lag=30, scale=1.5)
+    @example(l=4, p=0, q=2, t=-40, seed=3, max_lag=9, scale=0.3)
+    @example(l=3, p=2, q=0, t=-1, seed=4, max_lag=0, scale=1.5)
+    def test_table_equals_indexed_loop(self, l, p, q, t, seed, max_lag, scale):
+        model = random_model(np.random.default_rng(seed), p=p, q=q, l=l, coef_scale=scale)
+        assert same_bits(green_coefficients(model, t, max_lag).values,
+                         indexed_green_loop(model, t, max_lag))
+
+    @settings(PROPERTY, max_examples=100)
+    @given(k=st.integers(1, 60), **MODELS)
+    @example(l=1, p=2, q=0, t=0, seed=1, k=40)
+    @example(l=2, p=5, q=3, t=-9, seed=2, k=17)
+    @example(l=3, p=0, q=1, t=4, seed=3, k=5)
+    def test_table_equals_lu_determinant(self, l, p, q, t, seed, k):
+        model = random_model(np.random.default_rng(seed), p=p, q=q, l=l)
+        got = green_coefficients(model, t, k).value(k)
+        assert_allclose(got, lu_determinant(build_fundamental(model, t, k)), rtol=1e-8)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(max_lag=st.integers(0, 60), **MODELS)
+    @example(l=1, p=3, q=1, t=-3, seed=1, max_lag=25)
+    @example(l=2, p=4, q=0, t=-40, seed=2, max_lag=30)
+    def test_shift_by_period_is_identical(self, l, p, q, t, seed, max_lag):
+        model = random_model(np.random.default_rng(seed), p=p, q=q, l=l)
+        a, b = green_coefficients(model, t, max_lag), green_coefficients(model, t + l, max_lag)
+        assert same_bits(a.values, b.values) and a.anchor_season == b.anchor_season
+        assert same_bits(error_weights(model, t, max_lag + 1),
+                         error_weights(model, t + l, max_lag + 1))
+
+    @settings(PROPERTY, max_examples=150)
+    @given(steps=st.integers(0, 60), scale=st.sampled_from([0.3, 1.0, 1.8]), **MODELS)
+    @example(l=1, p=4, q=2, t=3, seed=1, steps=40, scale=1.0)
+    @example(l=2, p=5, q=0, t=-11, seed=2, steps=3, scale=1.8)
+    @example(l=3, p=0, q=4, t=0, seed=3, steps=20, scale=0.3)
+    @example(l=5, p=1, q=3, t=7, seed=4, steps=0, scale=1.0)
+    def test_general_solution_equals_direct_recursion(self, l, p, q, t, seed, steps, scale):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, p=p, q=q, l=l, coef_scale=scale)
+        inp = SolutionInput(model, origin=t, steps=steps, initial=rng.uniform(-5, 5, p),
+                            innovations=rng.uniform(-5, 5, steps + q))
+        a, b = general_solution(inp).total, direct_recursion(inp)
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+    @settings(PROPERTY, max_examples=100)
+    @given(l=st.integers(1, 13), t=st.integers(-40, 40),
+           phi=st.lists(st.floats(-0.24, 0.24), max_size=4),  # sum |phi| < 1: stable
+           theta=st.lists(st.floats(-0.9, 0.9), max_size=4))
+    @example(l=1, t=0, phi=[0.2, -0.2], theta=[0.3])
+    @example(l=2, t=-5, phi=[0.2, 0.1, -0.2, 0.24], theta=[0.5, 0.2, -0.1, 0.3])
+    @example(l=3, t=2, phi=[], theta=[0.6, 0.2])
+    def test_constant_model_reduces_to_classical_psi(self, l, t, phi, theta):
+        model = PeriodicModel.constant(ar=phi, ma=theta, l=l)
+        assert_allclose(error_weights(model, t, 51), psi_by_power_series(phi, theta, 50),
+                        rtol=0, atol=1e-12)
 
 
 #: (l, p, q): l = 1, p = 0, p > l, q > p, and a monthly model

@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -23,7 +24,7 @@ from parma import (
 )
 from parma.sim import _recurse
 
-from conftest import random_model
+from conftest import random_model, same_bits
 
 
 def white_noise(l=1, sigma2=1.0):
@@ -359,8 +360,35 @@ def per_step_recurse(model, eps, pre_y, pre_eps, t0):
     return np.asarray(out)
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def indexed_ar_recurse(model, eps, pre_y, pre_eps, t0):
+    """Reference: the two-stage kernel with an AR step loop that indexes one
+    list by position (``vals[i - m]`` through ``enumerate``) for every term."""
+    p, q, l = model.p, model.q, model.l
+    n, out = len(eps), np.empty(eps.shape)
+    seasons = (t0 - 1 + np.arange(n)) % l
+    col = (n,) + (1,) * (eps.ndim - 1)
+    drift, theta = model.drift[seasons].reshape(col), model.ma[:, seasons].reshape((q,) + col)
+    pre = np.asarray(pre_eps, dtype=float)[:q].reshape((-1,) + col[1:])
+    step = max(1, (1 << 14) // int(np.prod(eps.shape[1:])))
+    buf = np.empty((min(step, n),) + eps.shape[1:])
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        block = np.add(drift[a:b], eps[a:b], out=out[a:b])
+        for j in range(1, q + 1):
+            k = min(max(j - a, 0), b - a)
+            block[:k] += theta[j - 1, a:a + k] * pre[j - 1 - a::-1][:k]
+            block[k:] += np.multiply(theta[j - 1, a + k:b], eps[a + k - j:b - j],
+                                     out=buf[:b - a - k])
+    phi = model.ar.T.tolist()
+    s0 = (t0 - 1) % l
+    vals = np.asarray(pre_y, dtype=float)[:p][::-1].tolist()
+    vals += out.tolist() if eps.ndim == 1 else list(out)
+    for i, coefs in zip(range(p, p + n), itertools.cycle(phi[s0:] + phi[:s0])):
+        v = vals[i]
+        for m, a in enumerate(coefs, start=1):
+            v += a * vals[i - m]
+        vals[i] = v
+    return np.array(vals[p:]) if eps.ndim == 1 else out
 
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None,
@@ -447,3 +475,20 @@ class TestKernelCost:
                 run()
                 times.append(time.perf_counter() - start)
         assert min(kernel) < 0.6 * min(loop)
+
+    def test_long_replay_beats_the_indexed_ar_loop(self):
+        # the AR stage reads the tail of its history list; the reference
+        # looks every term up by index arithmetic
+        rng = np.random.default_rng(64)
+        model = random_model(rng, p=2, q=1, l=52, coef_scale=0.3)
+        path = simulate(SimPlan(model, length=64_000, seed=3))
+        args = (model, path.eps, path.pre_y, path.pre_eps, path.start)
+        assert same_bits(indexed_ar_recurse(*args), path.y)
+        kernel, loop = [], []
+        for _ in range(3):  # interleaved, so a host speed change hits both
+            for times, run in ((kernel, lambda: replay(model, path)),
+                               (loop, lambda: indexed_ar_recurse(*args))):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+        assert min(kernel) < 0.8 * min(loop)
