@@ -35,7 +35,8 @@ from .greens import (
     season_tables,
 )
 from .model import ModelValidationError
-from .modelio import FileFormatError, dump_path, format_number, load_model, load_series
+from .modelio import (NUMBER_FORMAT, FileFormatError, dump_path, format_number, load_model,
+                      load_series)
 from .moments import NotConvergentError, moment_profile
 from .sim import SimPlan, simulate
 from .vsform import build_vsform, par24_restriction, stationarity, one_period_cross_check
@@ -177,12 +178,13 @@ def _cmd_moments(model, args, out):
               f"probe_lag={diag.probe_lag}\n")
     out.write(f"# truncation={prof.truncation} "
               f"tail_bound={_fmt(prof.tail_bound)}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["season", "mean", "variance"]
-                    + [f"acov_{k}" for k in range(prof.max_lag + 1)])
-    for s in range(1, model.l + 1):
-        writer.writerow([s, _fmt(prof.means[s - 1]), _fmt(prof.variances[s - 1])]
-                        + [_fmt(x) for x in prof.autocov[s - 1]])
+    csv.writer(out, lineterminator="\n").writerow(
+        ["season", "mean", "variance"] + [f"acov_{k}" for k in range(prof.max_lag + 1)])
+    # one printf per row: a daily default-K profile has 268,000 values
+    line = "%d," + ",".join([NUMBER_FORMAT] * (prof.max_lag + 3)) + "\n"
+    rows = zip(prof.means.tolist(), prof.variances.tolist(), prof.autocov.tolist())
+    out.writelines(line % (s, mean, variance, *acov)
+                   for s, (mean, variance, acov) in enumerate(rows, start=1))
     return 0
 
 

@@ -36,6 +36,7 @@ from .sim import SamplePath
 __all__ = [
     "SCHEMA",
     "FileFormatError",
+    "NUMBER_FORMAT",
     "Series",
     "format_number",
     "load_model",
@@ -53,9 +54,13 @@ class FileFormatError(ValueError):
     """A document was readable but does not follow the declared format."""
 
 
+#: printf-style spec of :func:`format_number`, for writers that format a whole row at once
+NUMBER_FORMAT = "%.12g"
+
+
 def format_number(x: float) -> str:
     """Fixed 12-significant-digit rendering (stable across platforms)."""
-    return f"{float(x):.12g}"
+    return NUMBER_FORMAT % float(x)
 
 
 def load_model(path: str) -> PeriodicModel:

@@ -13,6 +13,20 @@ the weights decay exactly when the product of the ``l`` per-season AR
 companion matrices has spectral radius below one (:func:`check_convergence`).
 Every moment function requires a passing diagnostic and truncates its
 series where the weights have decayed.
+
+:func:`moment_profile` takes these sums only up to lag ``max(p, q)``.  For
+``k > q`` the MA forcing at ``t`` is uncorrelated with ``y_{t-k}``, so
+beyond ``max(p, q)`` it runs the periodic Yule-Walker recursion
+
+    gamma(s, k) = sum_{m=1..p} phi_m(s) * gamma(s - m, k - m)
+
+(the periodic form of the third autocovariance method of Brockwell &
+Davis, *Time Series: Theory and Methods*, 1991, section 3.3).  The weights
+obey the same recursion past lag ``q``, so the truncated sums satisfy it
+exactly: a recursion lag equals the truncated sum at the same truncation,
+up to rounding, and the truncation's tail bound covers it too.
+:func:`autocovariance` and :func:`unconditional_variance` keep the sums at
+every lag, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ import numpy as np
 
 from .greens import (OVERFLOW_FLAG, _season_weights, error_weights, green_coefficients,
                      season_tables)
-from .model import PeriodicModel, backwards, validate
+from .model import PeriodicModel, _is_int, backwards, validate
 
 __all__ = [
     "ConvergenceDiagnostic",
@@ -120,25 +134,26 @@ def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
         # g[n*l + r] reads M_s ** n times the first r factors of the period product M_s
         n, r = divmod(probe_lag, l)
         comp = _companions(model)
+        comp2 = np.concatenate([comp, comp])  # comp2[l - k + 1 + i] is A at season0 i - k + 1
         prods = partial = np.broadcast_to(np.eye(model.p), comp.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, l + 1):
-                prods = prods @ comp[(np.arange(l) - k + 1) % l]
+                prods = prods @ comp2[l - k + 1:2 * l - k + 1]
                 partial = prods if k == r else partial
             tail = float(np.max(np.abs((np.linalg.matrix_power(prods, n) @ partial)[:, 0, 0])))
     return ConvergenceDiagnostic(rho_hat=rho, passed=bool(tail < OVERFLOW_FLAG),
                                  probe_lag=probe_lag, margin=margin, tail_value=tail)
 
 
-def _require_convergent(model: PeriodicModel, diagnostic: ConvergenceDiagnostic | None,
-                        truncation: int | None) -> tuple[ConvergenceDiagnostic, int]:
-    """The passing diagnostic and the truncation (default per :func:`default_truncation`)."""
+def _require_convergent(model: PeriodicModel,
+                        diagnostic: ConvergenceDiagnostic | None) -> ConvergenceDiagnostic:
+    """The diagnostic (computed when not given); raises unless it passed."""
     diag = diagnostic if diagnostic is not None else check_convergence(model)
     if not diag.passed:
         raise NotConvergentError(
             f"weight series does not decay (rho_hat={diag.rho_hat:.6g}); "
             "unconditional moments do not exist")
-    return diag, truncation if truncation is not None else _truncation(model, diag.rho_hat)
+    return diag
 
 
 def default_truncation(model: PeriodicModel) -> int:
@@ -146,25 +161,30 @@ def default_truncation(model: PeriodicModel) -> int:
     below 1e-14 of that table's largest; the first probe lag comes from the decay
     rate, and the probe doubles up to 10,000 lags."""
     validate(model)
-    return _truncation(model, _decay_rate(model) if model.p else 0.0)
+    return _truncation(model, _decay_rate(model) if model.p else 0.0)[0]
 
 
-def _truncation(model: PeriodicModel, rho: float) -> int:
-    """:func:`default_truncation` given the model's decay rate ``rho``."""
+def _truncation(model: PeriodicModel, rho: float, extra: int = 0) -> tuple[int, np.ndarray]:
+    """:func:`default_truncation` given the model's decay rate ``rho``, and the
+    :func:`season_tables` stack it read, which runs ``extra`` lags past the probe
+    (so at least to lag ``truncation + extra``)."""
     l = model.l
     if model.p == 0:
-        return max(l, model.q + 1)
+        r = max(l, model.q + 1)
+        return r, season_tables(model, r + extra)
     probe = max(8 * l, 64) if rho >= 1.0 else 2 * l
     if 0.0 < rho < 1.0:
         probe = l * max(2, int(np.ceil(np.log(_REL_TAIL) / (l * np.log(rho)))))
     while True:
         probe = min(probe, TRUNCATION_CAP)
-        g = np.abs(season_tables(model, probe)[:, model.p - 1:])
-        decayed = np.all(g[:, l::l] < _REL_TAIL * np.max(g, axis=1, keepdims=True), axis=0)
+        tables = season_tables(model, probe + extra)
+        g = tables[:, model.p - 1:model.p + probe]  # lags 0..probe
+        top = np.maximum(np.max(g, axis=1), -np.min(g, axis=1))[:, None]  # max |g|
+        decayed = np.all(np.abs(g[:, l::l]) < _REL_TAIL * top, axis=0)
         if decayed.any():
-            return max(l * (int(np.argmax(decayed)) + 1), 2 * l)
+            return max(l * (int(np.argmax(decayed)) + 1), 2 * l), tables
         if probe >= TRUNCATION_CAP:
-            return TRUNCATION_CAP
+            return TRUNCATION_CAP, tables
         probe *= 2
 
 
@@ -172,7 +192,8 @@ def unconditional_mean(model: PeriodicModel, season: int,
                        truncation: int | None = None,
                        diagnostic: ConvergenceDiagnostic | None = None) -> float:
     """Mean of the process in a given season (truncated drift series)."""
-    _, r_max = _require_convergent(model, diagnostic, truncation)
+    diag = _require_convergent(model, diagnostic)
+    r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)[0]
     g = green_coefficients(model, season, r_max).nonnegative
     return float(np.dot(g, backwards(model.drift, season, r_max + 1)))
 
@@ -195,7 +216,8 @@ def autocovariance(model: PeriodicModel, season: int, lag: int,
     """
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
-    _, r_max = _require_convergent(model, diagnostic, truncation)
+    diag = _require_convergent(model, diagnostic)
+    r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)[0]
     tau = season - lag
     w_t = error_weights(model, season, lag + r_max + 1)
     w_tau = error_weights(model, tau, r_max + 1)
@@ -206,11 +228,14 @@ def autocovariance(model: PeriodicModel, season: int, lag: int,
 class MomentProfile:
     """Per-season means, variances and autocovariances up to a maximum lag.
 
-    ``autocov[s-1, k]`` is ``Cov(y_t, y_{t-k})`` for ``t`` in season ``s``.
-    ``tail_bound`` estimates how far any value could still move if the
-    truncation went to infinity: the last block of ``l`` weights continued
-    geometrically at the exact per-period factor ``rho_hat ** l``, the
-    asymptotic rate, which weights of a non-normal product may not yet follow.
+    ``autocov[s-1, k]`` is ``Cov(y_t, y_{t-k})`` for ``t`` in season ``s``;
+    lags ``0..max(p, q)`` are truncated sums, later lags come from the
+    periodic Yule-Walker recursion and equal the truncated sums up to
+    rounding.  ``tail_bound`` estimates how far any value, recursion lags
+    included, could still move if the truncation went to infinity: the last
+    block of ``l`` weights continued geometrically at the exact per-period
+    factor ``rho_hat ** l``, the asymptotic rate, which weights of a
+    non-normal product may not yet follow.
     """
 
     means: np.ndarray
@@ -233,43 +258,65 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
                    truncation: int | None = None) -> MomentProfile:
     """Compute means, variances and autocovariances for every season.
 
+    One :func:`season_tables` stack feeds the truncation search and every
+    sum.  It runs ``min(max_lag, max(p, q))`` lags past the search's last
+    probe lag (past ``truncation`` when that is given).  Means take one dot
+    per season and lags ``0..max(p, q)`` one dot per (season, lag); each
+    later lag takes one update across all seasons by the periodic
+    Yule-Walker recursion, so the default ``max_lag`` on a daily model costs
+    about twice ``max_lag=2``.
+
     Parameters
     ----------
     max_lag : int, optional
-        Highest autocovariance lag (default ``2l``).
+        Highest autocovariance lag, an integer >= 0 (default ``2l``).
     truncation : int, optional
-        Series truncation lag, at least ``l`` (default per
+        Series truncation lag, an integer >= ``l`` (default per
         :func:`default_truncation`); the tail bound extrapolates from the
         last full period of weights, so a shorter truncation has none.
     """
-    l = model.l
+    l, p = model.l, model.p
+    if max_lag is not None and not (_is_int(max_lag) and max_lag >= 0):
+        raise ValueError(f"max_lag must be an integer >= 0, got {max_lag!r}")
+    if truncation is not None and not _is_int(truncation):
+        raise ValueError(f"truncation must be an integer, got {truncation!r}")
     if truncation is not None and truncation < l:
         raise ValueError(f"truncation must be >= l = {l}, got {truncation}")
-    diag, r_max = _require_convergent(model, None, truncation)
     if max_lag is None:
         max_lag = 2 * l
+    diag = _require_convergent(model, None)
+    direct = min(max_lag, max(p, model.q))  # lags taken as sums
+    if truncation is None:
+        r_max, tables = _truncation(model, diag.rho_hat, direct)
+    else:
+        r_max, tables = truncation, season_tables(model, truncation + direct)
 
-    # the means and the tail bound read prefixes of one table per season (causal)
-    tables = season_tables(model, max_lag + r_max)
-    g = tables[:, max(model.p, 1) - 1:][:, :r_max + 1]
+    n = r_max + 1
+    g = tables[:, max(p, 1) - 1:][:, :n]
     weights = _season_weights(model, tables)
-    means = np.array([np.dot(g[s - 1], backwards(model.drift, s, r_max + 1))
-                      for s in range(1, l + 1)])
-    autocov = np.zeros((l, max_lag + 1))
-    for s in range(1, l + 1):
-        for k in range(max_lag + 1):
-            w_tau = weights[model.season(s - k) - 1, :r_max + 1]
-            autocov[s - 1, k] = np.dot(weights[s - 1, k:k + r_max + 1] * w_tau,
-                                       backwards(model.sigma2, s - k, r_max + 1))
-    variances = autocov[:, 0].copy()
+    # backwards(v, s - k, n) is the window v_ext[(k - s) % l:][:n] of one reversed
+    # periodic extension, v_ext[j] = v at season0 -1 - j
+    ext = (-1 - np.arange(n + l)) % l
+    drift, sigma2 = model.drift[ext], model.sigma2[ext]
+    means = np.array([np.dot(g[i], drift[(-1 - i) % l:][:n]) for i in range(l)])
+    acov = np.zeros((max_lag + 1, l))  # lag-major: acov[k, s - 1]
+    for k in range(direct + 1):
+        for i in range(l):
+            acov[k, i] = np.dot(weights[i, k:k + n] * weights[(i - k) % l, :n],
+                                sigma2[(k - 1 - i) % l:][:n])
+    back = np.arange(1, p + 1)[:, None]
+    earlier = (np.arange(l) - back) % l  # season0 of s - m
+    for k in range(direct + 1, max_lag + 1):
+        acov[k] = np.sum(model.ar * acov[k - back, earlier], axis=0)
+    autocov = acov.T.copy()
+    variances = acov[0].copy()
 
     # envelope tail bound: one more block of l lags scaled by the geometric
     # block ratio q/(1-q), q = rho_hat**l; covers means (linear in g) and
     # (co)variances (quadratic in w) separately
     q_blk = min(diag.rho_hat ** l, 1.0 - 1e-12)
     mean_tail = np.max(np.sum(np.abs(g[:, -l:]), axis=1)) * np.max(np.abs(model.drift))
-    var_tail = np.max(np.sum(weights[:, r_max + 1 - l:r_max + 1] ** 2, axis=1)) \
-        * np.max(model.sigma2)
+    var_tail = np.max(np.sum(weights[:, n - l:n] ** 2, axis=1)) * np.max(model.sigma2)
     bound = float(max(mean_tail * q_blk / (1.0 - q_blk),
                       var_tail * q_blk ** 2 / (1.0 - q_blk ** 2)))
     return MomentProfile(means=means, variances=variances, autocov=autocov,

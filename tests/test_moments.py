@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +19,7 @@ from parma import (
 from parma.greens import error_weights
 from parma.vsform import build_vsform, stationarity
 
-from conftest import random_model, random_stationary_model
+from conftest import naive_error_weights, random_model, random_stationary_model, same_bits
 
 
 def par14(product_root):
@@ -29,6 +31,76 @@ def par14(product_root):
 def par12(drift=(1.0, 1.0), sigma2=(1.0, 1.0)):
     return PeriodicModel(l=2, p=1, q=0, drift=list(drift),
                          ar=[[0.5, 0.8]], ma=[], sigma2=list(sigma2))
+
+
+def per_season_truncation(model):
+    """Reference for ``default_truncation``: one table per season, probes
+    doubling from max(8l, 64)."""
+    l = model.l
+    if model.p == 0:
+        return max(l, model.q + 1)
+    probe = max(8 * l, 64)
+    while True:
+        probe = min(probe, 10_000)
+        tables = [green_coefficients(model, s, probe) for s in range(1, l + 1)]
+        for r in range(l, probe + 1, l):
+            if all(abs(t.value(r)) < 1e-14 * np.max(np.abs(t.nonnegative))
+                   for t in tables):
+                return max(r, 2 * l)
+        if probe >= 10_000:
+            return 10_000
+        probe = min(2 * probe, 10_000)
+
+
+def per_season_profile(model, max_lag, truncation=None):
+    """Reference: one Green table and one weight sequence per season, and a
+    per-(season, lag) loop over the truncated sums at lags ``0..max(p, q)``.
+
+    ``moment_profile`` must match its means, variances, sum lags, truncation
+    and tail bound bit for bit.
+    """
+    l = model.l
+    r_max = per_season_truncation(model) if truncation is None else truncation
+    n = r_max + 1
+    direct = min(max_lag, max(model.p, model.q))
+    tables, weights = {}, {}
+    for s in range(1, l + 1):
+        tables[s] = green_coefficients(model, s, r_max + direct).nonnegative
+        weights[s] = naive_error_weights(model, s, n + direct)
+    means = np.zeros(l)
+    autocov = np.zeros((l, direct + 1))
+    for s in range(1, l + 1):
+        back = (s - 1 - np.arange(n)) % l
+        means[s - 1] = np.dot(tables[s][:n], model.drift[back])
+        for k in range(direct + 1):
+            tau = s - k
+            back_tau = (tau - 1 - np.arange(n)) % l
+            w_tau = weights[model.season(tau)][:n]
+            autocov[s - 1, k] = np.dot(weights[s][k:k + n] * w_tau, model.sigma2[back_tau])
+    q_blk = min(check_convergence(model).rho_hat ** l, 1.0 - 1e-12)
+    mean_tail = max(np.sum(np.abs(tables[s][n - l:n])) for s in tables) \
+        * np.max(np.abs(model.drift))
+    var_tail = max(np.sum(weights[s][n - l:n] ** 2) for s in weights) * np.max(model.sigma2)
+    bound = float(max(mean_tail * q_blk / (1.0 - q_blk),
+                      var_tail * q_blk ** 2 / (1.0 - q_blk ** 2)))
+    return means, autocov, r_max, bound
+
+
+def daily_model():
+    """Daily-shaped stationary model: l=365, p=4, q=2."""
+    rng = np.random.default_rng(365)
+    l = 365
+    ar = rng.uniform(-0.05, 0.05, (4, l))
+    ar[0] = 0.75 + 0.12 * np.sin(2 * np.pi * np.arange(l) / l) \
+        + rng.uniform(-0.03, 0.03, l)
+    return PeriodicModel(l=l, p=4, q=2, drift=rng.uniform(-1, 1, l), ar=ar,
+                         ma=rng.uniform(-0.6, 0.6, (2, l)),
+                         sigma2=rng.uniform(0.5, 2.0, l))
+
+
+#: (l, p, q, coefficient scale): l=1, p>l, q>p, p=0 and a weekly-of-year period
+PROFILE_SHAPES = [(1, 2, 1, 0.6), (2, 4, 1, 0.5), (3, 1, 3, 0.8), (4, 0, 2, 0.8),
+                  (52, 2, 1, 0.6)]
 
 
 class TestCheckConvergence:
@@ -108,14 +180,7 @@ class TestCheckConvergence:
         assert_allclose(diag.rho_hat, 0.1, rtol=1e-12)
 
     def test_daily_stationary_model_passes(self):
-        rng = np.random.default_rng(365)
-        l = 365
-        ar = rng.uniform(-0.05, 0.05, (4, l))
-        ar[0] = 0.75 + 0.12 * np.sin(2 * np.pi * np.arange(l) / l) \
-            + rng.uniform(-0.03, 0.03, l)
-        model = PeriodicModel(l=l, p=4, q=2, drift=rng.uniform(-1, 1, l), ar=ar,
-                              ma=rng.uniform(-0.6, 0.6, (2, l)),
-                              sigma2=rng.uniform(0.5, 2.0, l))
+        model = daily_model()
         diag = check_convergence(model)
         assert diag.passed and 0.5 < diag.rho_hat < 0.9
         prof = moment_profile(model, max_lag=2)
@@ -272,14 +337,20 @@ class TestMomentProfile:
         assert_allclose(prof.autocov[:, 0], prof.variances)
 
     def test_truncation_honesty(self):
-        model = PeriodicModel(l=2, p=1, q=0, drift=[1.0, -0.5],
-                              ar=[[0.9, 0.95]], ma=[], sigma2=[1.0, 2.0])
-        coarse = moment_profile(model, max_lag=4, truncation=200)
-        fine = moment_profile(model, max_lag=4, truncation=400)
-        bound = coarse.tail_bound
-        assert np.max(np.abs(coarse.means - fine.means)) < bound
-        assert np.max(np.abs(coarse.variances - fine.variances)) < bound
-        assert np.max(np.abs(coarse.autocov - fine.autocov)) < bound
+        # the second model has q = 1, so its lags 2..6 come from the
+        # Yule-Walker recursion, not from sums
+        cases = [(PeriodicModel(l=2, p=1, q=0, drift=[1.0, -0.5], ar=[[0.9, 0.95]], ma=[],
+                                sigma2=[1.0, 2.0]), 4, 200, 400),
+                 (PeriodicModel(l=3, p=1, q=1, drift=[1.0, -0.5, 0.2], ar=[[0.9, 0.95, 0.92]],
+                                ma=[[0.5, -0.3, 0.4]], sigma2=[1.0, 2.0, 0.5]), 6, 150, 600)]
+        for model, max_lag, short, long in cases:
+            coarse = moment_profile(model, max_lag=max_lag, truncation=short)
+            fine = moment_profile(model, max_lag=max_lag, truncation=long)
+            bound = coarse.tail_bound
+            assert bound > 1e-7  # the coarse truncation has a real tail
+            assert np.max(np.abs(coarse.means - fine.means)) < bound
+            assert np.max(np.abs(coarse.variances - fine.variances)) < bound
+            assert np.max(np.abs(coarse.autocov - fine.autocov)) < bound
 
     def test_truncation_below_period_rejected(self):
         # one block of l lags past a sub-period truncation bounds nothing:
@@ -293,23 +364,6 @@ class TestMomentProfile:
         assert true_var - prof.variances[0] <= prof.tail_bound * (1 + 1e-9)
 
     def test_default_truncation_matches_per_season_loop(self, rng):
-        def per_season_loop(model):
-            # one table per season, probes doubling from max(8l, 64)
-            l = model.l
-            if model.p == 0:
-                return max(l, model.q + 1)
-            probe = max(8 * l, 64)
-            while True:
-                probe = min(probe, 10_000)
-                tables = [green_coefficients(model, s, probe) for s in range(1, l + 1)]
-                for r in range(l, probe + 1, l):
-                    if all(abs(t.value(r)) < 1e-14 * np.max(np.abs(t.nonnegative))
-                           for t in tables):
-                        return max(r, 2 * l)
-                if probe >= 10_000:
-                    return 10_000
-                probe = min(2 * probe, 10_000)
-
         at_cap = [PeriodicModel.constant(ar=[1.001]),          # explosive
                   PeriodicModel.constant(ar=[0.999]),          # slow decay
                   par14(1.0005 ** 0.25)]                       # explosive, l=4
@@ -320,7 +374,7 @@ class TestMomentProfile:
         assert any(m.l == 1 and m.p > 1 for m in models[3:])
         assert any(m.l > 1 and m.p > m.l for m in models[3:])
         for i, model in enumerate(models):
-            want = per_season_loop(model)
+            want = per_season_truncation(model)
             assert default_truncation(model) == want
             assert want == 10_000 or i >= len(at_cap)
 
@@ -340,3 +394,97 @@ class TestMomentProfile:
                 unconditional_variance(model, s - 8, trunc)
             assert autocovariance(model, s, 3, trunc) == \
                 autocovariance(model, s + 12, 3, trunc)
+
+
+class TestProfileAgainstReference:
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    @pytest.mark.parametrize("shape", PROFILE_SHAPES, ids=lambda s: "l%d-p%d-q%d" % s[:3])
+    def test_sums_match_the_per_season_loop_bit_for_bit(self, shape, explicit):
+        l, p, q, scale = shape
+        model = random_stationary_model(np.random.default_rng(l * 100 + p * 10 + q),
+                                        l=l, p=p, q=q, coef_scale=scale)
+        truncation = 2 * l + 3 if explicit else None
+        prof = moment_profile(model, truncation=truncation)
+        means, autocov, r_max, bound = per_season_profile(model, 2 * l, truncation)
+        direct = autocov.shape[1]
+        assert prof.truncation == r_max
+        assert same_bits(prof.means, means)
+        assert same_bits(prof.variances, autocov[:, 0])
+        assert same_bits(np.ascontiguousarray(prof.autocov[:, :direct]), autocov)
+        assert prof.tail_bound == bound
+        assert prof.autocov.shape == (l, 2 * l + 1) and prof.autocov.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", PROFILE_SHAPES, ids=lambda s: "l%d-p%d-q%d" % s[:3])
+    def test_recursion_lags_match_the_scalar_sums(self, shape):
+        # the truncated sums obey the recursion exactly, so only rounding
+        # separates the two
+        l, p, q, scale = shape
+        model = random_stationary_model(np.random.default_rng(l * 100 + p * 10 + q),
+                                        l=l, p=p, q=q, coef_scale=scale)
+        max_lag = 2 * l + max(p, q) + 2
+        prof = moment_profile(model, max_lag=max_lag)
+        var = prof.variances
+        for s in range(1, l + 1, 1 if l < 13 else 7):  # 8 of 52 seasons: the oracle is slow
+            for k in range(max(p, q) + 1, max_lag + 1):
+                want = autocovariance(model, s, k, prof.truncation, prof.diagnostic)
+                tol = 1e-12 * np.sqrt(var[s - 1] * var[(s - 1 - k) % l])
+                assert abs(prof.autocov[s - 1, k] - want) <= tol, (s, k)
+
+    def test_daily_recursion_lags_match_the_scalar_sums(self):
+        model = daily_model()
+        prof = moment_profile(model)
+        var = prof.variances
+        for s in (1, 2, 183, 365):
+            for k in (5, 6, 7, 100, 364, 365, 366, 730):
+                want = autocovariance(model, s, k, prof.truncation, prof.diagnostic)
+                tol = 1e-12 * np.sqrt(var[s - 1] * var[(s - 1 - k) % 365])
+                assert abs(prof.autocov[s - 1, k] - want) <= tol, (s, k)
+
+    def test_pure_ma_lags_beyond_q_are_zero(self):
+        model = random_stationary_model(np.random.default_rng(4), l=4, p=0, q=2)
+        prof = moment_profile(model, max_lag=9)
+        assert np.all(prof.autocov[:, 3:] == 0.0)
+        assert np.all(prof.autocov[:, 1] != 0.0)
+
+
+class TestProfileArguments:
+    # a non-convergent model: a check that ran after any work would raise
+    # NotConvergentError instead
+    EXPLOSIVE = PeriodicModel.constant(ar=[1.2], l=4)
+
+    @pytest.mark.parametrize("max_lag", [-1, True, False, 2.5, 3.0, "2", np.float64(2)])
+    def test_bad_max_lag_rejected(self, max_lag):
+        for model in (par12(), self.EXPLOSIVE):
+            with pytest.raises(ValueError, match="max_lag must be an integer >= 0"):
+                moment_profile(model, max_lag=max_lag)
+
+    @pytest.mark.parametrize("truncation", [True, False, 24.0, 30.5, "24", np.float64(24)])
+    def test_bad_truncation_rejected(self, truncation):
+        for model in (par12(), self.EXPLOSIVE):
+            with pytest.raises(ValueError, match="truncation must be an integer"):
+                moment_profile(model, max_lag=2, truncation=truncation)
+
+    def test_numpy_integers_accepted(self):
+        got = moment_profile(par12(), max_lag=np.int64(3), truncation=np.int32(40))
+        want = moment_profile(par12(), max_lag=3, truncation=40)
+        assert got.max_lag == 3 and got.truncation == 40
+        assert same_bits(got.autocov, want.autocov)
+
+    def test_max_lag_zero_is_the_variances(self):
+        prof = moment_profile(par12(), max_lag=0)
+        assert prof.autocov.shape == (2, 1)
+        assert same_bits(prof.autocov[:, 0], prof.variances)
+
+
+class TestProfileCost:
+    def test_default_lags_cost_little_more_than_two(self):
+        # lags past max(p, q) take one update across all seasons each; a dot
+        # per (season, lag) made the default 2l lags cost about 60x max_lag=2
+        model = daily_model()
+        short, full = [], []
+        for _ in range(3):  # interleaved, so a host speed change hits both
+            for times, max_lag in ((short, 2), (full, None)):
+                start = time.perf_counter()
+                moment_profile(model, max_lag=max_lag)
+                times.append(time.perf_counter() - start)
+        assert min(full) < 5.0 * min(short)
