@@ -19,7 +19,6 @@ digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
@@ -130,11 +129,10 @@ def _cmd_greens(model, args, out):
                   "is running out of headroom\n")
     coefficients = tables[:, max(model.p, 1) - 1:]
     columns = [coefficients, _season_weights(model, tables)] if model.q else [coefficients]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["season", "lag", "coefficient", "error_weight"][:len(columns) + 2])
-    for s in range(1, model.l + 1):
-        for r in range(args.horizon + 1):
-            writer.writerow([s, r] + [_fmt(c[s - 1, r]) for c in columns])
+    out.write(",".join(["season", "lag", "coefficient", "error_weight"][:len(columns) + 2]) + "\n")
+    line = "%d,%d" + ("," + NUMBER_FORMAT) * len(columns) + "\n"
+    for s, season in enumerate(zip(*[c.tolist() for c in columns]), start=1):
+        out.writelines(line % (s, r, *values) for r, values in enumerate(zip(*season)))
     return 0
 
 
@@ -155,13 +153,11 @@ def _cmd_forecast(model, args, out):
     report = predict(model, origin, args.horizon)
     out.write(f"# origin time {origin.time} "
               f"(season {model.season(origin.time)})\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["h", "target_season", "point", "mse", "lo", "hi"])
+    out.write("h,target_season,point,mse,lo,hi\n")
+    line = "%d,%d," + ",".join([NUMBER_FORMAT] * 4) + "\n"
     for h in report.horizons:
-        lo, hi = report.interval(h, args.z)
-        writer.writerow([h, report.target_seasons[h - 1],
-                         _fmt(report.points[h - 1]), _fmt(report.mses[h - 1]),
-                         _fmt(lo), _fmt(hi)])
+        out.write(line % (h, report.target_seasons[h - 1], report.points[h - 1],
+                          report.mses[h - 1], *report.interval(h, args.z)))
     return 0
 
 
@@ -178,8 +174,8 @@ def _cmd_moments(model, args, out):
               f"probe_lag={diag.probe_lag}\n")
     out.write(f"# truncation={prof.truncation} "
               f"tail_bound={_fmt(prof.tail_bound)}\n")
-    csv.writer(out, lineterminator="\n").writerow(
-        ["season", "mean", "variance"] + [f"acov_{k}" for k in range(prof.max_lag + 1)])
+    out.write(",".join(["season", "mean", "variance"]
+                       + [f"acov_{k}" for k in range(prof.max_lag + 1)]) + "\n")
     # one printf per row: a daily default-K profile has 268,000 values
     line = "%d," + ",".join([NUMBER_FORMAT] * (prof.max_lag + 3)) + "\n"
     rows = zip(prof.means.tolist(), prof.variances.tolist(), prof.autocov.tolist())
@@ -223,11 +219,11 @@ def _cmd_simulate(model, args, out):
     if args.paths == 1:
         dump_path(result, out)
         return 0
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["path", "time", "season", "y", "eps"])
+    out.write("path,time,season,y,eps\n")
+    line = "%d,%d,%d," + NUMBER_FORMAT + "," + NUMBER_FORMAT + "\n"
     for idx, path in enumerate(result):
-        for t, s, y, e in zip(path.times, path.seasons, path.y, path.eps):
-            writer.writerow([idx, int(t), int(s), _fmt(y), _fmt(e)])
+        rows = zip(path.times.tolist(), path.seasons.tolist(), path.y.tolist(), path.eps.tolist())
+        out.writelines(line % (idx, *row) for row in rows)
     return 0
 
 
@@ -238,8 +234,8 @@ def _cmd_bench(model, args, out):
         raise _UsageError(f"bad --orders: {exc}")
     if any(k < 1 for k in orders):
         raise _UsageError("orders must be >= 1")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["order", "recurrence_ms", "lu_dets_ms", "speedup"])
+    out.write("order,recurrence_ms,lu_dets_ms,speedup\n")
+    line = "%d," + ",".join([NUMBER_FORMAT] * 3) + "\n"
     for k in orders:
         best_rec = min(_time_once(lambda: green_coefficients(model, model.l, k))
                        for _ in range(3))
@@ -249,8 +245,7 @@ def _cmd_bench(model, args, out):
                 lu_determinant(build_fundamental(model, model.l, order))
 
         best_lu = _time_once(lu_table)
-        writer.writerow([k, _fmt(best_rec * 1e3), _fmt(best_lu * 1e3),
-                         _fmt(best_lu / best_rec)])
+        out.write(line % (k, best_rec * 1e3, best_lu * 1e3, best_lu / best_rec))
     return 0
 
 

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 SCHEMA = "parma-model-v1"
+#: libyaml's parser when PyYAML was built with it: about 7x faster on a daily model
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _MODEL_KEYS = {"schema", "l", "p", "q", "drift", "ar", "ma", "sigma2"}
 
 
@@ -76,7 +78,7 @@ def load_model(path: str) -> PeriodicModel:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise FileFormatError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -183,8 +185,8 @@ def load_series(path: str, model: PeriodicModel) -> Series:
 
 def dump_path(path_obj: SamplePath, stream: io.TextIOBase) -> None:
     """Write one sample path as ``time,season,y,eps`` rows."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["time", "season", "y", "eps"])
-    for t, s, y, e in zip(path_obj.times, path_obj.seasons, path_obj.y,
-                          path_obj.eps):
-        writer.writerow([int(t), int(s), format_number(y), format_number(e)])
+    stream.write("time,season,y,eps\n")
+    line = "%d,%d," + NUMBER_FORMAT + "," + NUMBER_FORMAT + "\n"
+    rows = zip(path_obj.times.tolist(), path_obj.seasons.tolist(), path_obj.y.tolist(),
+               path_obj.eps.tolist())
+    stream.writelines(line % row for row in rows)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import (OVERFLOW_FLAG, _season_weights, error_weights, green_coefficients,
-                     season_tables)
+from .greens import (OVERFLOW_FLAG, _check_max_lag, _season_weights, error_weights,
+                     green_coefficients, season_tables)
 from .model import PeriodicModel, _is_int, backwards, validate
 
 __all__ = [
@@ -112,7 +112,7 @@ def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
     Parameters
     ----------
     probe_lag : int, optional
-        Lag ``R >= 2l`` at which the overflow guard reads ``|g|``; defaults
+        Integer lag ``R >= 2l`` at which the overflow guard reads ``|g|``; defaults
         to ``max(40l, 400)`` rounded up to a multiple of ``l``.
     margin : float
         Require ``rho_hat < 1 - margin``.
@@ -122,8 +122,8 @@ def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
     if probe_lag is None:
         probe_lag = max(40 * l, 400)
         probe_lag += (-probe_lag) % l
-    if probe_lag < 2 * l:
-        raise ValueError(f"probe_lag must be >= 2*l = {2 * l}, got {probe_lag}")
+    if not (_is_int(probe_lag) and probe_lag >= 2 * l):
+        raise ValueError(f"probe_lag must be an integer >= 2*l = {2 * l}, got {probe_lag!r}")
     if model.p == 0:
         return ConvergenceDiagnostic(rho_hat=0.0, passed=True, probe_lag=probe_lag,
                                      margin=margin, tail_value=0.0)
@@ -276,8 +276,8 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
         last full period of weights, so a shorter truncation has none.
     """
     l, p = model.l, model.p
-    if max_lag is not None and not (_is_int(max_lag) and max_lag >= 0):
-        raise ValueError(f"max_lag must be an integer >= 0, got {max_lag!r}")
+    if max_lag is not None:
+        _check_max_lag(max_lag)
     if truncation is not None and not _is_int(truncation):
         raise ValueError(f"truncation must be an integer, got {truncation!r}")
     if truncation is not None and truncation < l:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import GreenTable, green_coefficients
+from .greens import green_coefficients
 from .model import PeriodicModel, validate
 
 __all__ = ["SolutionInput", "SolutionDecomposition", "general_solution",
@@ -111,8 +111,7 @@ def homogeneous_coefficients(model: PeriodicModel, origin: int) -> list[list[flo
             for m in range(1, model.p)]
 
 
-def general_solution(inp: SolutionInput,
-                     table: GreenTable | None = None) -> SolutionDecomposition:
+def general_solution(inp: SolutionInput) -> SolutionDecomposition:
     """Closed-form value ``steps`` ahead of the origin, split into parts.
 
     ``steps = 0`` returns the identity (``total == y_tau``); ``steps = 1``
@@ -121,8 +120,7 @@ def general_solution(inp: SolutionInput,
     """
     model = inp.model
     t = inp.origin + inp.steps
-    if table is None or table.max_lag < inp.steps:
-        table = green_coefficients(model, t, inp.steps)
+    table = green_coefficients(model, t, inp.steps)
 
     hom = table.value(inp.steps) * inp.initial[0] if model.p else 0.0
     for m, coefs in enumerate(homogeneous_coefficients(model, inp.origin), start=1):

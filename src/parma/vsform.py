@@ -68,24 +68,14 @@ class VSForm:
             getattr(self, name).flags.writeable = False
 
 
-def _stack0(table: np.ndarray, order: int, l: int) -> np.ndarray:
-    """Unit-lower-triangular within-period matrix per the stacking rule."""
-    out = np.eye(l)
-    for i in range(1, l + 1):
-        for j in range(1, i):
-            m = i - j
-            if 1 <= m <= order:
-                out[i - 1, j - 1] = -table[m - 1, i - 1]
-    return out
-
-
 def _stack_lagged(table: np.ndarray, order: int, l: int, block: int) -> np.ndarray:
+    """Per the stacking rule, ``out[i, j] = table[m - 1, i]`` where ``m = i + l*block - j``
+    lies in ``1..order`` (0-based ``i``, ``j``), zero elsewhere."""
+    i, j = np.indices((l, l))
+    m = i + l * block - j
+    inside = (m >= 1) & (m <= order)
     out = np.zeros((l, l))
-    for i in range(1, l + 1):
-        for j in range(1, l + 1):
-            m = i + l * block - j
-            if 1 <= m <= order:
-                out[i - 1, j - 1] = table[m - 1, i - 1]
+    out[inside] = table[m[inside] - 1, i[inside]]
     return out
 
 
@@ -100,9 +90,9 @@ def build_vsform(model: PeriodicModel) -> VSForm:
     theta = np.array([_stack_lagged(model.ma, model.q, l, b)
                       for b in range(1, ma_order + 1)]).reshape(ma_order, l, l)
     return VSForm(model=model, ar_order=ar_order, ma_order=ma_order,
-                  phi0=_stack0(model.ar, model.p, l),
+                  phi0=np.eye(l) - _stack_lagged(model.ar, model.p, l, 0),
                   phi=phi,
-                  theta0=_stack0(model.ma, model.q, l),
+                  theta0=np.eye(l) - _stack_lagged(model.ma, model.q, l, 0),
                   theta=theta)
 
 

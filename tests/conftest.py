@@ -41,6 +41,18 @@ def random_stationary_model(rng, max_tries=200, **kwargs) -> PeriodicModel:
     raise AssertionError("could not draw a stationary model")
 
 
+def daily_model():
+    """Daily-shaped stationary model: l=365, p=4, q=2."""
+    rng = np.random.default_rng(365)
+    l = 365
+    ar = rng.uniform(-0.05, 0.05, (4, l))
+    ar[0] = 0.75 + 0.12 * np.sin(2 * np.pi * np.arange(l) / l) \
+        + rng.uniform(-0.03, 0.03, l)
+    return PeriodicModel(l=l, p=4, q=2, drift=rng.uniform(-1, 1, l), ar=ar,
+                         ma=rng.uniform(-0.6, 0.6, (2, l)),
+                         sigma2=rng.uniform(0.5, 2.0, l))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240318)

@@ -10,6 +10,7 @@ from parma import (
     PeriodicModel,
     SolutionInput,
     build_fundamental,
+    check_convergence,
     direct_recursion,
     error_weights,
     general_solution,
@@ -21,7 +22,8 @@ from parma import (
 )
 from parma.greens import _season_weights
 
-from conftest import naive_error_weights, naive_known_weights, random_model, same_bits
+from conftest import (daily_model, naive_error_weights, naive_known_weights, random_model,
+                      same_bits)
 
 
 def psi_by_power_series(phi, theta, n):
@@ -332,19 +334,30 @@ class TestSeasonTables:
                 got = season_tables(model, max_lag, anchors)
                 assert got.shape == (len(times), pad + max_lag + 1)
                 assert not got.flags.writeable
+                # both entry points share one kernel, so each meets the reference
                 for row, t in zip(got, times):
-                    assert np.array_equal(
-                        row, green_coefficients(model, t, max_lag).values)
-                    assert np.array_equal(
-                        np.signbit(row),
-                        np.signbit(green_coefficients(model, t, max_lag).values))
+                    want = indexed_green_loop(model, t, max_lag)
+                    assert same_bits(row, want)
+                    assert same_bits(green_coefficients(model, t, max_lag).values, want)
 
     def test_many_rows_equal_one_row_calls(self, rng):
         model = random_model(rng, p=4, q=0, l=52)
         anchors = list(range(-30, 30))
         many = season_tables(model, 200, anchors)
         for i, t in enumerate(anchors):
-            assert np.array_equal(many[i], season_tables(model, 200, [t])[0])
+            assert same_bits(many[i], season_tables(model, 200, [t])[0])
+            assert same_bits(many[i], indexed_green_loop(model, t, 200))
+
+    def test_daily_shapes_equal_indexed_loop(self):
+        # one long table, and every season's stack to one and to four periods
+        model = daily_model()
+        want = indexed_green_loop(model, 100, 10_000)
+        assert same_bits(green_coefficients(model, 100, 10_000).values, want)
+        assert same_bits(season_tables(model, 10_000, [100])[0], want)
+        for max_lag in (365, 1460):
+            got = season_tables(model, max_lag)
+            for s in range(1, model.l + 1):
+                assert same_bits(got[s - 1], indexed_green_loop(model, s, max_lag))
 
     @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
     def test_season_weights_rows_equal_per_lag_loop(self, rng, l, p, q):
@@ -475,6 +488,16 @@ class TestContractEdges:
         with pytest.raises(ValueError, match="max_lag"):
             green_coefficients(random_model(rng), 0, -1)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0), 30.5], ids=repr)
+    @pytest.mark.parametrize("name,call", [
+        ("max_lag", lambda model, lag: green_coefficients(model, 1, lag)),
+        ("max_lag", lambda model, lag: season_tables(model, lag)),
+        ("probe_lag", lambda model, lag: check_convergence(model, probe_lag=lag)),
+    ], ids=["green_coefficients", "season_tables", "check_convergence"])
+    def test_non_integer_lag_rejected(self, rng, name, call, bad):
+        with pytest.raises(ValueError, match=name):
+            call(random_model(rng, p=2, q=1, l=3), bad)
+
     def test_zero_order_fundamental_rejected(self, rng):
         with pytest.raises(ValueError, match="order"):
             build_fundamental(random_model(rng), 0, 0)
@@ -490,8 +513,3 @@ class TestContractEdges:
             error_weights(model, 0, 0)
         with pytest.raises(ValueError, match="lead"):
             known_innovation_weights(model, 0, 0)
-        wrong_season = green_coefficients(model, 1, 8)
-        with pytest.raises(ValueError, match="season"):
-            error_weights(model, 2, 4, table=wrong_season)
-        with pytest.raises(ValueError, match="season"):
-            known_innovation_weights(model, 2, 3, table=wrong_season)

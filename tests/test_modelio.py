@@ -1,7 +1,10 @@
+import glob
+
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
-from parma import ModelValidationError
+from parma import ModelValidationError, modelio
 from parma.modelio import (
     FileFormatError,
     dump_model,
@@ -34,6 +37,26 @@ class TestModelFiles:
         model = load_model(f"{FIXTURES}/par12.yaml")
         assert model.l == 2 and model.p == 1
         assert_allclose(model.ar, [[0.5, 0.8]])
+
+    def test_pure_python_parser_reads_the_same(self, monkeypatch, tmp_path):
+        # load_model parses with libyaml when PyYAML has it; the fallback must agree
+        (tmp_path / "junk.yaml").write_text("a: [unclosed\n")
+        paths = sorted(glob.glob(f"{FIXTURES}/*.yaml")) + [str(tmp_path / "junk.yaml")]
+
+        def load_all():
+            out = []
+            for path in paths:
+                try:
+                    m = load_model(path)
+                    out.append((m.l, m.p, m.q, m.drift.tolist(), m.ar.tolist(),
+                                m.ma.tolist(), m.sigma2.tolist()))
+                except (FileFormatError, ModelValidationError) as exc:
+                    out.append(type(exc).__name__)
+            return out
+
+        fast = load_all()
+        monkeypatch.setattr(modelio, "_LOADER", yaml.SafeLoader)
+        assert load_all() == fast
 
     def test_unknown_key_rejected(self):
         with pytest.raises(FileFormatError, match="unknown key"):

@@ -19,7 +19,8 @@ from parma import (
 from parma.greens import error_weights
 from parma.vsform import build_vsform, stationarity
 
-from conftest import naive_error_weights, random_model, random_stationary_model, same_bits
+from conftest import (daily_model, naive_error_weights, random_model, random_stationary_model,
+                      same_bits)
 
 
 def par14(product_root):
@@ -84,18 +85,6 @@ def per_season_profile(model, max_lag, truncation=None):
     bound = float(max(mean_tail * q_blk / (1.0 - q_blk),
                       var_tail * q_blk ** 2 / (1.0 - q_blk ** 2)))
     return means, autocov, r_max, bound
-
-
-def daily_model():
-    """Daily-shaped stationary model: l=365, p=4, q=2."""
-    rng = np.random.default_rng(365)
-    l = 365
-    ar = rng.uniform(-0.05, 0.05, (4, l))
-    ar[0] = 0.75 + 0.12 * np.sin(2 * np.pi * np.arange(l) / l) \
-        + rng.uniform(-0.03, 0.03, l)
-    return PeriodicModel(l=l, p=4, q=2, drift=rng.uniform(-1, 1, l), ar=ar,
-                         ma=rng.uniform(-0.6, 0.6, (2, l)),
-                         sigma2=rng.uniform(0.5, 2.0, l))
 
 
 #: (l, p, q, coefficient scale): l=1, p>l, q>p, p=0 and a weekly-of-year period
