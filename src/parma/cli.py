@@ -123,12 +123,13 @@ def _cmd_validate(model, args, out):
 def _cmd_greens(model, args, out):
     if args.horizon < 0:
         raise _UsageError("horizon must be >= 0")
-    tables = season_tables(model, args.horizon)
-    if np.max(np.abs(tables)) > OVERFLOW_FLAG:
+    with np.errstate(all="ignore"):  # the warning line reports overflow
+        tables = season_tables(model, args.horizon)
+        coefficients = tables[:, max(model.p, 1) - 1:]
+        columns = [coefficients, _season_weights(model, tables)] if model.q else [coefficients]
+    if not np.all(np.abs(tables) <= OVERFLOW_FLAG):  # NaN (inf - inf) included
         out.write("# warning: coefficients exceed 1e100; double precision "
                   "is running out of headroom\n")
-    coefficients = tables[:, max(model.p, 1) - 1:]
-    columns = [coefficients, _season_weights(model, tables)] if model.q else [coefficients]
     out.write(",".join(["season", "lag", "coefficient", "error_weight"][:len(columns) + 2]) + "\n")
     line = "%d,%d" + ("," + NUMBER_FORMAT) * len(columns) + "\n"
     for s, season in enumerate(zip(*[c.tolist() for c in columns]), start=1):

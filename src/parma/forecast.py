@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import _known_weights, _season_weights, season_tables
+from .greens import _check_lag, _known_weights, _season_weights, season_tables
 from .model import PeriodicModel, backwards, validate
 from .solution import homogeneous_coefficients
 
@@ -140,8 +140,7 @@ class ForecastReport:
 def _target_rows(model: PeriodicModel, origin_time: int, max_horizon: int):
     """Tables of targets ``origin+1 .. origin+min(H, l)``, the row ``rows[h-1]`` that
     target ``origin + h`` reads, its error weights and the MSE per horizon."""
-    if max_horizon < 1:
-        raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
+    _check_lag(max_horizon, "max_horizon", 1)
     targets = origin_time + np.arange(1, min(max_horizon, model.l) + 1)
     tables = season_tables(model, max_horizon, targets)
     weights = _season_weights(model, tables, targets)

@@ -11,8 +11,11 @@ for any ``t`` in season ``s``, with ``w`` the error-weight sequence (the
 Green coefficients themselves for q = 0).  The decay has a closed form:
 the weights decay exactly when the product of the ``l`` per-season AR
 companion matrices has spectral radius below one (:func:`check_convergence`).
-Every moment function requires a passing diagnostic and truncates its
-series where the weights have decayed.
+That period product, for every anchor season at once, is formed by doubling
+products of periodic matrices (Bittanti & Colaneri, *Periodic Systems*,
+2009) in ``O(log l)`` batched matrix products.  Every moment function
+requires a passing diagnostic and truncates its series where the weights
+have decayed.
 
 :func:`moment_profile` takes these sums only up to lag ``max(p, q)``.  For
 ``k > q`` the MA forcing at ``t`` is uncorrelated with ``y_{t-k}``, so
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import (OVERFLOW_FLAG, _check_max_lag, _season_weights, error_weights,
+from .greens import (OVERFLOW_FLAG, _check_lag, _season_weights, error_weights,
                      green_coefficients, season_tables)
 from .model import PeriodicModel, _is_int, backwards, validate
 
@@ -65,13 +68,14 @@ class ConvergenceDiagnostic:
 
     ``rho_hat`` is the per-step decay rate of the Green coefficients: the
     spectral radius of the product of the ``l`` per-season ``p x p``
-    companion matrices, to the power ``1/l``.  ``rho_hat ** l`` is the
-    stacked companion radius of :mod:`parma.vsform` (same nonzero
-    eigenvalues); for ``p = 1`` it is ``|coefficient product| ** (1/l)``.
-    Passing requires ``rho_hat < 1 - margin`` and then, as an overflow
-    guard, ``tail_value`` (the largest ``|g|`` at ``probe_lag`` over the
-    seasons; NaN when the rate fails) below ``greens.OVERFLOW_FLAG``.
-    Failing is a value, not an error.
+    companion matrices, to the power ``1/l``, formed by doubling and
+    rescaled by exact powers of two.  ``rho_hat ** l`` is the stacked
+    companion radius of :mod:`parma.vsform` (same nonzero eigenvalues); for
+    ``p = 1`` it is ``|coefficient product| ** (1/l)``.  Passing requires
+    ``rho_hat < 1 - margin`` and then, as an overflow guard, ``tail_value``
+    (the largest ``|g|`` at ``probe_lag`` over the seasons, read from a
+    power of the same period products; NaN when the rate fails) below
+    ``greens.OVERFLOW_FLAG``.  Failing is a value, not an error.
     """
 
     rho_hat: float
@@ -89,25 +93,60 @@ def _companions(model: PeriodicModel) -> np.ndarray:
     return comp
 
 
-def _decay_rate(model: PeriodicModel) -> float:
-    """Spectral radius of ``A_l ... A_1`` to the power ``1/l`` (``p >= 1``), rescaled
-    at every factor with its log scale carried, so it cannot overflow or underflow.
-    One anchor is enough: the ``l`` cyclic products share their nonzero eigenvalues."""
-    prod, log_scale = np.eye(model.p), 0.0
-    for a in _companions(model)[::-1]:
-        prod = prod @ a
-        top = np.max(np.abs(prod))
-        if top == 0.0:
-            return 0.0
-        prod /= top
-        log_scale += np.log(top)
-    radius = np.max(np.abs(np.linalg.eigvals(prod)))
-    return 0.0 if radius == 0.0 else float(np.exp((np.log(radius) + log_scale) / model.l))
+def _rescaled(mats: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mats`` times the power of two that brings each matrix's largest ``|entry|``
+    into ``[0.5, 1)`` (a zero matrix stays as it is), with that exponent added to
+    ``exps``; scaling by a power of two is exact."""
+    e = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
+    return np.ldexp(mats, -e[:, None, None], out=mats), exps + e
+
+
+def _period_products(model: PeriodicModel, spans: tuple) -> list:
+    """For each ``k`` in ``spans``, the products ``A(i) A(i-1) ... A(i-k+1)`` of ``k``
+    consecutive companions for every season0 ``i`` (``p >= 1``), as ``(mats, exps)``
+    with product ``ldexp(mats[i], exps[i])``.
+
+    Spans of 1, 2, 4, ... factors double by one batched product per level,
+    ``D_2m(i) = D_m(i) D_m(i - m)``, and each ``k`` joins the levels of its set bits,
+    so every ``k <= l`` takes ``O(log l)`` array calls.  Every product is rescaled to
+    max-abs about one and its binary exponent carried, so ``|phi| ** l`` can neither
+    overflow nor underflow.
+    """
+    seasons = np.arange(model.l)
+
+    def join(left, right, shift):  # left(i) right(i - shift)
+        back = (seasons - shift) % model.l
+        return _rescaled(left[0] @ right[0][back], left[1] + right[1][back])
+
+    level, span = _rescaled(_companions(model), np.zeros(model.l, dtype=np.int64)), 1
+    out = [None] * len(spans)
+    while True:
+        for j, k in enumerate(spans):
+            if k & span:  # out[j] holds the k & (span - 1) factors of k's lower bits
+                out[j] = level if out[j] is None else join(out[j], level, k & (span - 1))
+        if 2 * span > max(spans):
+            return out
+        level, span = join(level, level, span), 2 * span
+
+
+def _decay_rate(model: PeriodicModel, period=None) -> float:
+    """Spectral radius of the period product ``A_l ... A_1`` to the power ``1/l``
+    (``p >= 1``), read from ``period``, the ``l``-factor :func:`_period_products`
+    (computed when not given).  One anchor is enough: the ``l`` cyclic products share
+    their nonzero eigenvalues."""
+    mats, exps = period if period is not None else _period_products(model, (model.l,))[0]
+    radius = np.max(np.abs(np.linalg.eigvals(mats[-1])))
+    if radius == 0.0:
+        return 0.0
+    return float(np.exp((np.log(radius) + exps[-1] * np.log(2.0)) / model.l))
 
 
 def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
                       margin: float = 0.0) -> ConvergenceDiagnostic:
     """Exact weight-decay rate and second-moment verdict; builds no Green table.
+
+    The rate and the overflow guard read one set of period products, formed by
+    doubling in ``O(log l)`` batched matrix products (:func:`_period_products`).
 
     Parameters
     ----------
@@ -127,20 +166,19 @@ def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
     if model.p == 0:
         return ConvergenceDiagnostic(rho_hat=0.0, passed=True, probe_lag=probe_lag,
                                      margin=margin, tail_value=0.0)
-    rho = _decay_rate(model)
+    # anchored at s, g[k] is the [0, 0] entry of A_s A_{s-1} ... A_{s-k+1}, so
+    # g[n*l + r] reads M_s ** n times the first r factors of the period product M_s
+    n, r = divmod(probe_lag, l)
+    products = _period_products(model, (l, r) if r else (l,))
+    rho = _decay_rate(model, products[0])
     tail = float("nan")
     if rho < 1.0 - margin:
-        # anchored at s, g[k] is the [0, 0] entry of A_s A_{s-1} ... A_{s-k+1}, so
-        # g[n*l + r] reads M_s ** n times the first r factors of the period product M_s
-        n, r = divmod(probe_lag, l)
-        comp = _companions(model)
-        comp2 = np.concatenate([comp, comp])  # comp2[l - k + 1 + i] is A at season0 i - k + 1
-        prods = partial = np.broadcast_to(np.eye(model.p), comp.shape)
+        (full, exps), *first_r = products
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, l + 1):
-                prods = prods @ comp2[l - k + 1:2 * l - k + 1]
-                partial = prods if k == r else partial
-            tail = float(np.max(np.abs((np.linalg.matrix_power(prods, n) @ partial)[:, 0, 0])))
+            power, exps = np.linalg.matrix_power(full, n), n * exps
+            for mats, more in first_r:
+                power, exps = power @ mats, exps + more
+            tail = float(np.max(np.ldexp(np.abs(power[:, 0, 0]), exps)))
     return ConvergenceDiagnostic(rho_hat=rho, passed=bool(tail < OVERFLOW_FLAG),
                                  probe_lag=probe_lag, margin=margin, tail_value=tail)
 
@@ -260,11 +298,11 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
 
     One :func:`season_tables` stack feeds the truncation search and every
     sum.  It runs ``min(max_lag, max(p, q))`` lags past the search's last
-    probe lag (past ``truncation`` when that is given).  Means take one dot
-    per season and lags ``0..max(p, q)`` one dot per (season, lag); each
-    later lag takes one update across all seasons by the periodic
-    Yule-Walker recursion, so the default ``max_lag`` on a daily model costs
-    about twice ``max_lag=2``.
+    probe lag (past ``truncation`` when that is given).  The means and each
+    lag ``0..max(p, q)`` take one batched ``matmul`` across the seasons (one
+    BLAS dot per season, the bits of ``np.dot``); each later lag takes one
+    update across all seasons by the periodic Yule-Walker recursion, so the
+    default ``max_lag`` on a daily model costs about twice ``max_lag=2``.
 
     Parameters
     ----------
@@ -277,7 +315,7 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     """
     l, p = model.l, model.p
     if max_lag is not None:
-        _check_max_lag(max_lag)
+        _check_lag(max_lag)
     if truncation is not None and not _is_int(truncation):
         raise ValueError(f"truncation must be an integer, got {truncation!r}")
     if truncation is not None and truncation < l:
@@ -294,16 +332,26 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     n = r_max + 1
     g = tables[:, max(p, 1) - 1:][:, :n]
     weights = _season_weights(model, tables)
-    # backwards(v, s - k, n) is the window v_ext[(k - s) % l:][:n] of one reversed
-    # periodic extension, v_ext[j] = v at season0 -1 - j
-    ext = (-1 - np.arange(n + l)) % l
-    drift, sigma2 = model.drift[ext], model.sigma2[ext]
-    means = np.array([np.dot(g[i], drift[(-1 - i) % l:][:n]) for i in range(l)])
+    # backwards(v, s - k, n) is the window v_ext[l - s + k:][:n] of one reversed
+    # periodic extension, v_ext[j] = v at season0 -1 - j: row s - 1 of
+    # windows(v)[:, k:k + n], with a trailing axis for (l, 1, n) @ (l, n, 1)
+    ext = (-1 - np.arange(n + l + direct)) % l
+
+    def windows(v):
+        v_ext, item = v[ext], v.itemsize
+        return np.lib.stride_tricks.as_strided(v_ext[l - 1:], (l, n + direct, 1), (-item, item, 0),
+                                               writeable=False)
+
+    drift, sigma2 = windows(model.drift), windows(model.sigma2)
+    # (l, 1, n) @ (l, n, 1) runs one BLAS dot per season, as np.dot does
+    means = (g[:, None, :] @ drift[:, :n])[:, 0, 0]
     acov = np.zeros((max_lag + 1, l))  # lag-major: acov[k, s - 1]
+    step = max(1, (1 << 14) // n)  # seasons per weight-product block of about 128 KB
     for k in range(direct + 1):
-        for i in range(l):
-            acov[k, i] = np.dot(weights[i, k:k + n] * weights[(i - k) % l, :n],
-                                sigma2[(k - 1 - i) % l:][:n])
+        for b in range(0, l, step):
+            block = weights[(np.arange(b, min(b + step, l)) - k) % l, :n]
+            np.multiply(weights[b:b + step, k:k + n], block, out=block)
+            acov[k, b:b + step] = (block[:, None, :] @ sigma2[b:b + step, k:k + n])[:, 0, 0]
     back = np.arange(1, p + 1)[:, None]
     earlier = (np.arange(l) - back) % l  # season0 of s - m
     for k in range(direct + 1, max_lag + 1):

@@ -153,6 +153,29 @@ class TestExitCodes:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == err and err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_overflowing_greens_warns_on_stdout_only(self, capsys, tmp_path):
+        # phi = 3 overflows past lag 646; numpy's own warnings stay quiet
+        doc = ("schema: parma-model-v1\nl: 4\np: 1\nq: 1\ndrift: [0, 0, 0, 0]\n"
+               "ar:\n- [3, 3, 3, 3]\nma:\n- [0.5, 0.5, 0.5, 0.5]\nsigma2: [1, 1, 1, 1]\n")
+        (tmp_path / "phi3.yaml").write_text(doc)
+        code, out, err = run(capsys, "greens", str(tmp_path / "phi3.yaml"), "-H", "800")
+        assert code == 0 and err == ""
+        assert out.startswith("# warning: coefficients exceed 1e100")
+        proc = subprocess.run(
+            [sys.executable, "-m", "parma.cli", "greens", str(tmp_path / "phi3.yaml"),
+             "-H", "800"], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == out
+
+    def test_nan_greens_table_warns(self, capsys, tmp_path):
+        # with p = 2 the overflowing terms cancel to NaN, which no comparison flags
+        doc = ("schema: parma-model-v1\nl: 4\np: 2\nq: 0\ndrift: [0, 0, 0, 0]\n"
+               "ar:\n- [3, 3, 3, 3]\n- [-3, 2, -3, 2]\nma: []\nsigma2: [1, 1, 1, 1]\n")
+        (tmp_path / "nan.yaml").write_text(doc)
+        code, out, err = run(capsys, "greens", str(tmp_path / "nan.yaml"), "-H", "800")
+        assert code == 0 and err == "" and ",nan\n" in out
+        assert out.startswith("# warning: coefficients exceed 1e100")
+
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "x.yaml"])

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from parma import (
+    ForecastOrigin,
     PeriodicModel,
     SolutionInput,
     build_fundamental,
@@ -18,6 +19,8 @@ from parma import (
     known_innovation_weights,
     laplace_determinant,
     lu_determinant,
+    mse_profile,
+    predict,
     season_tables,
 )
 from parma.greens import _season_weights
@@ -99,6 +102,20 @@ class TestFundamentalMatrix:
                 for j in range(1, k + 1):
                     if j > i + 1 or j < i - model.p + 1:
                         assert f[i - 1, j - 1] == 0.0
+
+    def test_band_matches_per_entry_loop(self, rng):
+        # phi_{1+m}(t - order + i) at 1-based (i, i - m), -1 above the diagonal
+        for _ in range(30):
+            model = random_model(rng, q=0, p=int(rng.integers(0, 7)), l=int(rng.integers(1, 9)))
+            order, t = int(rng.integers(1, 12)), int(rng.integers(-20, 20))
+            view = model.view()
+            want = np.zeros((order, order))
+            for i in range(1, order):
+                want[i - 1, i] = -1.0
+            for m in range(min(model.p, order)):
+                for i in range(m + 1, order + 1):
+                    want[i - 1, i - 1 - m] = view.ar(1 + m, t - order + i)
+            assert same_bits(build_fundamental(model, t, order).values, want)
 
     def test_deleting_leading_rows_gives_lower_order_matrix(self, rng):
         model = random_model(rng, p=3, q=0, l=5)
@@ -513,3 +530,17 @@ class TestContractEdges:
             error_weights(model, 0, 0)
         with pytest.raises(ValueError, match="lead"):
             known_innovation_weights(model, 0, 0)
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.5, np.float64(3.0)], ids=repr)
+    @pytest.mark.parametrize("name,call", [
+        ("horizon", lambda model, h: error_weights(model, 0, h)),
+        ("lead", lambda model, h: known_innovation_weights(model, 0, h)),
+        ("max_horizon", lambda model, h: predict(
+            model, ForecastOrigin(time=0, tail=[1.0], innovations=[0.5]), h)),
+        ("max_horizon", lambda model, h: mse_profile(model, 0, h)),
+    ], ids=["error_weights", "known_innovation_weights", "predict", "mse_profile"])
+    def test_weight_helper_counts_rejected_by_name(self, name, call, bad):
+        # a bad count is named as the caller's argument, not as the kernel's max_lag
+        model = random_model(np.random.default_rng(3), p=1, q=1, l=2)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
+            call(model, bad)

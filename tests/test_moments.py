@@ -87,6 +87,43 @@ def per_season_profile(model, max_lag, truncation=None):
     return means, autocov, r_max, bound
 
 
+def companions(model):
+    comp = np.zeros((model.l, model.p, model.p))
+    comp[:, 0, :] = model.ar.T
+    comp[:, 1:, :-1] = np.eye(model.p - 1)
+    return comp
+
+
+def sequential_rate(model):
+    """Reference for ``rho_hat``: the period product ``A_l ... A_1`` one factor at a
+    time, rescaled at every factor with its log scale carried."""
+    prod, log_scale = np.eye(model.p), 0.0
+    for a in companions(model)[::-1]:
+        prod = prod @ a
+        top = np.max(np.abs(prod))
+        if top == 0.0:
+            return 0.0
+        prod /= top
+        log_scale += np.log(top)
+    radius = np.max(np.abs(np.linalg.eigvals(prod)))
+    return 0.0 if radius == 0.0 else float(np.exp((np.log(radius) + log_scale) / model.l))
+
+
+def sequential_tail(model, probe_lag):
+    """Reference for ``tail_value``: every anchor's period product built one factor
+    per step, unscaled, then ``M_s ** n`` times its first ``r`` factors."""
+    l = model.l
+    n, r = divmod(probe_lag, l)
+    comp = companions(model)
+    comp2 = np.concatenate([comp, comp])
+    prods = partial = np.broadcast_to(np.eye(model.p), comp.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, l + 1):
+            prods = prods @ comp2[l - k + 1:2 * l - k + 1]
+            partial = prods if k == r else partial
+        return float(np.max(np.abs((np.linalg.matrix_power(prods, n) @ partial)[:, 0, 0])))
+
+
 #: (l, p, q, coefficient scale): l=1, p>l, q>p, p=0 and a weekly-of-year period
 PROFILE_SHAPES = [(1, 2, 1, 0.6), (2, 4, 1, 0.5), (3, 1, 3, 0.8), (4, 0, 2, 0.8),
                   (52, 2, 1, 0.6)]
@@ -190,6 +227,63 @@ class TestCheckConvergence:
         diag = check_convergence(model)
         assert diag.passed
         assert_allclose(diag.rho_hat ** 12, radius, rtol=1e-10)
+
+
+class TestPeriodProducts:
+    """The doubled period products against one factor per step."""
+
+    @staticmethod
+    def assert_matches_sequential(model, probe_lag=None, margin=0.0):
+        diag = check_convergence(model, probe_lag=probe_lag, margin=margin)
+        assert_allclose(diag.rho_hat, sequential_rate(model), rtol=1e-11)
+        if np.isnan(diag.tail_value):
+            assert diag.rho_hat >= 1.0 - margin
+            return diag
+        want = sequential_tail(model, diag.probe_lag)
+        if np.isnan(want):  # the unscaled loop overflowed into inf * 0
+            assert diag.tail_value == np.inf
+        elif want > 1e-200:  # the guard only matters near OVERFLOW_FLAG
+            assert_allclose(diag.tail_value, want, rtol=1e-8)
+        return diag
+
+    @pytest.mark.parametrize("l,p", [(1, 1), (1, 4), (2, 5), (3, 4), (5, 2), (7, 3),
+                                     (12, 4), (13, 2), (24, 2), (37, 1), (52, 2)])
+    def test_random_shapes(self, l, p):
+        # l=1, p > l, l not a power of two
+        rng = np.random.default_rng(1000 * l + p)
+        for _ in range(6):
+            model = random_model(rng, l=l, p=p, q=0, coef_scale=float(rng.uniform(0.3, 1.2)))
+            self.assert_matches_sequential(model, margin=-1.0)
+
+    def test_probe_lag_off_the_period(self):
+        rng = np.random.default_rng(7)
+        for l, p in [(1, 2), (3, 4), (5, 2), (12, 3), (52, 2)]:
+            model = random_stationary_model(rng, l=l, p=p, q=0)
+            for lag in (2 * l + 1, 3 * l + l // 2 + 1, 40 * l - 1):
+                if lag % l:
+                    diag = self.assert_matches_sequential(model, probe_lag=lag)
+                    assert diag.probe_lag == lag
+
+    def test_all_zero_product(self):
+        # a zero coefficient in one season of a p = 1 model zeroes every product
+        model = PeriodicModel(l=6, p=1, q=0, drift=np.zeros(6), ar=[[0.5, 2.0, 0.0, 3.0, 0.7, 1.5]],
+                              ma=[], sigma2=np.ones(6))
+        for lag in (None, 13):
+            diag = self.assert_matches_sequential(model, probe_lag=lag)
+            assert diag.rho_hat == 0.0 and diag.tail_value == 0.0 and diag.passed
+
+    def test_explosive_daily_product(self):
+        model = PeriodicModel.constant(ar=[7.0, 0.0], l=365)
+        diag = self.assert_matches_sequential(model)
+        assert not diag.passed and np.isnan(diag.tail_value)
+        # 7 ** 14,600 is far past a double: the guard reads inf, where the unscaled
+        # loop reads NaN
+        diag = self.assert_matches_sequential(model, margin=-10.0)
+        assert diag.tail_value == np.inf and not diag.passed
+
+    def test_daily_model(self):
+        diag = self.assert_matches_sequential(daily_model())
+        assert diag.passed
 
 
 class TestUnconditionalMean:
@@ -477,3 +571,18 @@ class TestProfileCost:
                 moment_profile(model, max_lag=max_lag)
                 times.append(time.perf_counter() - start)
         assert min(full) < 5.0 * min(short)
+
+
+class TestConvergenceCost:
+    def test_daily_verdict_costs_little_more_than_weekly(self):
+        # the period products double in log2(l) batched steps; one factor per
+        # step made the daily verdict cost about 11x an l=52 one
+        daily = daily_model()
+        weekly = random_stationary_model(np.random.default_rng(52), l=52, p=4, q=0)
+        small, large = [], []
+        for _ in range(7):  # interleaved, so a host speed change hits both
+            for times, model in ((small, weekly), (large, daily)):
+                start = time.perf_counter()
+                check_convergence(model)
+                times.append(time.perf_counter() - start)
+        assert min(large) < 8.0 * min(small)
