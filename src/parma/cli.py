@@ -26,7 +26,7 @@ import numpy as np
 
 from .forecast import ForecastOrigin, MissingInnovationTailError, predict
 from .greens import (
-    OVERFLOW_FLAG,
+    _overflowing,
     _season_weights,
     build_fundamental,
     green_coefficients,
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(model, args, out):
+def _cmd_check(model, args, out):
     out.write(f"model: PARMA(p={model.p}, q={model.q}; l={model.l})\n")
     out.write("status: OK\n")
     out.write(f"drift: {' '.join(_fmt(x) for x in model.drift)}\n")
@@ -127,7 +127,7 @@ def _cmd_greens(model, args, out):
         tables = season_tables(model, args.horizon)
         coefficients = tables[:, max(model.p, 1) - 1:]
         columns = [coefficients, _season_weights(model, tables)] if model.q else [coefficients]
-    if not np.all(np.abs(tables) <= OVERFLOW_FLAG):  # NaN (inf - inf) included
+    if _overflowing(tables):
         out.write("# warning: coefficients exceed 1e100; double precision "
                   "is running out of headroom\n")
     out.write(",".join(["season", "lag", "coefficient", "error_weight"][:len(columns) + 2]) + "\n")
@@ -257,7 +257,7 @@ def _time_once(fn) -> float:
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
+    "validate": _cmd_check,
     "greens": _cmd_greens,
     "forecast": _cmd_forecast,
     "moments": _cmd_moments,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import _check_lag, _known_weights, _season_weights, season_tables
-from .model import PeriodicModel, backwards, validate
+from .greens import _known_weights, _season_weights, season_tables
+from .model import PeriodicModel, _check_int, backwards
 from .solution import homogeneous_coefficients
 
 __all__ = [
@@ -89,7 +89,6 @@ class ForecastOrigin:
 
 
 def _check_origin(model: PeriodicModel, origin: ForecastOrigin) -> None:
-    validate(model)
     if origin.tail.shape != (model.p,):
         raise ValueError(
             f"origin tail must hold exactly p={model.p} values, "
@@ -140,7 +139,7 @@ class ForecastReport:
 def _target_rows(model: PeriodicModel, origin_time: int, max_horizon: int):
     """Tables of targets ``origin+1 .. origin+min(H, l)``, the row ``rows[h-1]`` that
     target ``origin + h`` reads, its error weights and the MSE per horizon."""
-    _check_lag(max_horizon, "max_horizon", 1)
+    _check_int(max_horizon, "max_horizon", 1)
     targets = origin_time + np.arange(1, min(max_horizon, model.l) + 1)
     tables = season_tables(model, max_horizon, targets)
     weights = _season_weights(model, tables, targets)
@@ -197,6 +196,5 @@ def mse_profile(model: PeriodicModel, origin_time: int, max_horizon: int) -> np.
     Independent of the observed values: only the coefficient tables and
     the periodic variance schedule enter.
     """
-    validate(model)
     with np.errstate(all="ignore"):  # _require_finite reports non-finite values
         return _require_finite(_target_rows(model, origin_time, max_horizon)[3])

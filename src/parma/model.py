@@ -1,4 +1,4 @@
-"""Periodic ARMA model container, season arithmetic and validation.
+"""Periodic ARMA model container, checked once when built; season arithmetic.
 
 A PARMA(p, q; l) process has AR, MA, drift and innovation-variance
 parameters that depend on the season ``s`` in ``1..l`` and repeat every
@@ -46,7 +46,7 @@ class Violation:
 
 
 class ModelValidationError(ValueError):
-    """Raised by :func:`validate`; carries the complete violation list."""
+    """Raised by :func:`validate`, so by building an invalid model; lists every violation."""
 
     def __init__(self, violations: list[Violation]):
         self.violations = list(violations)
@@ -94,10 +94,21 @@ def backwards(values: np.ndarray, t: int, n: int) -> np.ndarray:
     return values[(t - 1 - np.arange(n)) % len(values)]
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (``True`` is an ``int`` to Python)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_int(value, name: str, low: int = 0) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``low``."""
+    if not (_is_int(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _as_table(values, rows: int, cols: int) -> np.ndarray:
-    """Coerce to a float array; an empty one gets shape ``(rows, cols)`` when that
+    """Copy to a float array; an empty one gets shape ``(rows, cols)`` when that
     is a valid empty shape (other orders are left for :func:`violations`)."""
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.size == 0 and _is_int(rows) and _is_int(cols) and min(rows, cols) == 0:
         return np.zeros((rows, cols))
     return arr
@@ -125,10 +136,11 @@ class PeriodicModel:
 
     Notes
     -----
-    Construction only coerces the inputs to float arrays; call
-    :func:`validate` (or build through :func:`validate`) to enforce the
-    shape/positivity/finiteness invariants.  Instances are immutable and
-    safe to share across threads: the arrays are marked read-only.
+    Construction copies the inputs to read-only float arrays and checks the
+    shape/positivity/finiteness invariants on them once, raising
+    :class:`ModelValidationError` with every violation; so every model is
+    valid and no consumer checks it again.  The caller's arrays stay theirs
+    and writable.  Instances are immutable and safe to share across threads.
     """
 
     l: int
@@ -141,13 +153,18 @@ class PeriodicModel:
     clock: SeasonClock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "drift", np.asarray(self.drift, dtype=float))
+        object.__setattr__(self, "drift", np.array(self.drift, dtype=float))
         object.__setattr__(self, "ar", _as_table(self.ar, self.p, self.l))
         object.__setattr__(self, "ma", _as_table(self.ma, self.q, self.l))
-        object.__setattr__(self, "sigma2", np.asarray(self.sigma2, dtype=float))
+        object.__setattr__(self, "sigma2", np.array(self.sigma2, dtype=float))
         for name in ("drift", "ar", "ma", "sigma2"):
             getattr(self, name).flags.writeable = False
-        object.__setattr__(self, "clock", SeasonClock(max(int(self.l), 1)))
+        validate(self)
+        object.__setattr__(self, "clock", SeasonClock(self.l))
+
+    def __reduce__(self):
+        # copies and unpickled models are built anew, so they own read-only arrays too
+        return type(self), (self.l, self.p, self.q, self.drift, self.ar, self.ma, self.sigma2)
 
     @classmethod
     def constant(cls, ar=(), ma=(), sigma2: float = 1.0, drift: float = 0.0,
@@ -198,11 +215,6 @@ class CoefficientView:
 
     def sigma2(self, t: int) -> float:
         return float(self.model.sigma2[self.model.clock.season0(t)])
-
-
-def _is_int(x) -> bool:
-    """An integer that is not a bool (``True`` is an ``int`` to Python)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def violations(model: PeriodicModel) -> list[Violation]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .model import PeriodicModel, _is_int, validate
+from .model import ModelValidationError, PeriodicModel, _is_int
 from .sim import SamplePath
 
 __all__ = [
@@ -98,12 +98,13 @@ def load_model(path: str) -> PeriodicModel:
         if not _is_int(doc[name]):
             raise FileFormatError(f"{path}: {name} must be an integer")
     try:
-        model = PeriodicModel(l=doc["l"], p=doc["p"], q=doc["q"],
-                              drift=doc["drift"], ar=doc["ar"], ma=doc["ma"],
-                              sigma2=doc["sigma2"])
+        return PeriodicModel(l=doc["l"], p=doc["p"], q=doc["q"],
+                             drift=doc["drift"], ar=doc["ar"], ma=doc["ma"],
+                             sigma2=doc["sigma2"])
+    except ModelValidationError:
+        raise
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed arrays: {exc}") from exc
-    return validate(model)
 
 
 def dump_model(model: PeriodicModel) -> str:

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import (OVERFLOW_FLAG, _check_lag, _season_weights, error_weights,
-                     green_coefficients, season_tables)
-from .model import PeriodicModel, _is_int, backwards, validate
+from .greens import (_overflowing, _season_weights, error_weights, green_coefficients,
+                     season_tables)
+from .model import PeriodicModel, _check_int, _is_int, backwards
 
 __all__ = [
     "ConvergenceDiagnostic",
@@ -156,13 +156,11 @@ def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
     margin : float
         Require ``rho_hat < 1 - margin``.
     """
-    validate(model)
     l = model.l
     if probe_lag is None:
         probe_lag = max(40 * l, 400)
         probe_lag += (-probe_lag) % l
-    if not (_is_int(probe_lag) and probe_lag >= 2 * l):
-        raise ValueError(f"probe_lag must be an integer >= 2*l = {2 * l}, got {probe_lag!r}")
+    _check_int(probe_lag, "probe_lag", 2 * l)
     if model.p == 0:
         return ConvergenceDiagnostic(rho_hat=0.0, passed=True, probe_lag=probe_lag,
                                      margin=margin, tail_value=0.0)
@@ -179,7 +177,7 @@ def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
             for mats, more in first_r:
                 power, exps = power @ mats, exps + more
             tail = float(np.max(np.ldexp(np.abs(power[:, 0, 0]), exps)))
-    return ConvergenceDiagnostic(rho_hat=rho, passed=bool(tail < OVERFLOW_FLAG),
+    return ConvergenceDiagnostic(rho_hat=rho, passed=not _overflowing(tail),
                                  probe_lag=probe_lag, margin=margin, tail_value=tail)
 
 
@@ -198,7 +196,6 @@ def default_truncation(model: PeriodicModel) -> int:
     """Smallest multiple of ``l``, at least ``2l``, where every season's weights are
     below 1e-14 of that table's largest; the first probe lag comes from the decay
     rate, and the probe doubles up to 10,000 lags."""
-    validate(model)
     return _truncation(model, _decay_rate(model) if model.p else 0.0)[0]
 
 
@@ -252,8 +249,7 @@ def autocovariance(model: PeriodicModel, season: int, lag: int,
     their own time points (``t`` and ``t - lag``), whose seasons generally
     differ.
     """
-    if lag < 0:
-        raise ValueError(f"lag must be >= 0, got {lag}")
+    _check_int(lag, "lag")
     diag = _require_convergent(model, diagnostic)
     r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)[0]
     tau = season - lag
@@ -315,7 +311,7 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     """
     l, p = model.l, model.p
     if max_lag is not None:
-        _check_lag(max_lag)
+        _check_int(max_lag, "max_lag")
     if truncation is not None and not _is_int(truncation):
         raise ValueError(f"truncation must be an integer, got {truncation!r}")
     if truncation is not None and truncation < l:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import ForecastOrigin, predict
-from .model import PeriodicModel, validate
+from .model import PeriodicModel, _check_int
 from .moments import check_convergence
 
 __all__ = [
@@ -81,11 +81,10 @@ class SimPlan:
     custom: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        validate(self.model)
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        _check_int(self.length, "length", 1)
+        _check_int(self.n_paths, "n_paths", 1)
+        if self.burn_in is not None:
+            _check_int(self.burn_in, "burn_in")
         if self.dist not in _DISTS:
             raise ValueError(f"dist must be one of {_DISTS}, got {self.dist!r}")
         if self.dist == "student-t" and (self.df is None or self.df <= 2):
@@ -275,12 +274,12 @@ def mc_forecast_experiment(model: PeriodicModel, origin: ForecastOrigin,
                            df: float | None = None) -> list[McForecastRow]:
     """Compare empirical forecast-error variances against the closed form.
 
-    Simulates ``n_paths`` futures from the fixed origin (the experiment is
-    conditional, so no stationarity is needed), measures the mean squared
+    Simulates ``n_paths >= 2`` futures from the fixed origin (the experiment
+    is conditional, so no stationarity is needed), measures the mean squared
     error of the optimal predictor per horizon, and flags agreement within
     three standard errors of the squared-error mean.
     """
-    validate(model)
+    _check_int(n_paths, "n_paths", 2)  # one path has no standard error
     report = predict(model, origin, max_horizon)
     tau = origin.time
 

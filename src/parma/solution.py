@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greens import green_coefficients
-from .model import PeriodicModel, validate
+from .model import PeriodicModel, _check_int
 
 __all__ = ["SolutionInput", "SolutionDecomposition", "general_solution",
            "direct_recursion"]
@@ -57,13 +57,11 @@ class SolutionInput:
     innovations: np.ndarray
 
     def __post_init__(self) -> None:
-        validate(self.model)
+        _check_int(self.steps, "steps")
         object.__setattr__(self, "initial",
                            np.asarray(self.initial, dtype=float).ravel())
         object.__setattr__(self, "innovations",
                            np.asarray(self.innovations, dtype=float).ravel())
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.initial.shape != (self.model.p,):
             raise ValueError(
                 f"need exactly p={self.model.p} initial values, "

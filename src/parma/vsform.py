@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greens import build_fundamental, green_coefficients, lu_determinant
-from .model import PeriodicModel, validate
+from .model import PeriodicModel, _check_int
 
 __all__ = [
     "VSForm",
@@ -81,7 +81,6 @@ def _stack_lagged(table: np.ndarray, order: int, l: int, block: int) -> np.ndarr
 
 def build_vsform(model: PeriodicModel) -> VSForm:
     """Stack a periodic model into its constant-coefficient vector form."""
-    validate(model)
     l = model.l
     ar_order = -(-model.p // l)  # ceil(p / l)
     ma_order = -(-model.q // l)
@@ -160,7 +159,6 @@ def par24_restriction(model: PeriodicModel) -> float:
     only inside a band around the unit circle whose width is controlled by
     the product ``e*f*g*h`` of the second-lag coefficients.
     """
-    validate(model)
     if (model.p, model.l) != (2, 4):
         raise ValueError(
             f"restriction is defined for p=2, l=4 models, "
@@ -181,7 +179,6 @@ def one_period_cross_check(model: PeriodicModel, tol: float = 1e-10) -> bool:
     route), and for order-1 models additionally checks that both "below
     one" verdicts match the root-based stationarity verdict.
     """
-    validate(model)
     if not 1 <= model.p <= model.l:
         raise ValueError(f"cross-check needs 1 <= p <= l, got p={model.p}, l={model.l}")
     g = green_coefficients(model, model.l, model.l).value(model.l)
@@ -206,15 +203,13 @@ def vs_forecast(model: PeriodicModel, last_period: np.ndarray,
     stacked AR order to be one (``p <= l``).  Row ``n-1`` holds the
     conditional means of seasons ``1..l`` of period ``T+n``.
     """
-    validate(model)
     vs = build_vsform(model)
     if vs.ar_order > 1:
         raise ValueError(f"vector forecast implemented for p <= l, got p={model.p}")
     last = np.asarray(last_period, dtype=float).ravel()
     if last.shape != (model.l,):
         raise ValueError(f"last_period must hold l={model.l} values, got {last.shape}")
-    if n_periods < 1:
-        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    _check_int(n_periods, "n_periods", 1)
     if vs.ar_order == 0:
         step = np.zeros((model.l, model.l))
     else:

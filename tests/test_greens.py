@@ -238,6 +238,15 @@ class TestGreenRecurrence:
         assert green_coefficients(model, 0, 400).overflowing
         assert not green_coefficients(model, 0, 10).overflowing
 
+    def test_nan_table_is_overflowing(self):
+        # |g| reaches inf, and inf - inf gives NaN, which no comparison exceeds
+        model = PeriodicModel(l=4, p=2, q=0, drift=np.zeros(4),
+                              ar=[[3, 3, 3, 3], [-3, 2, -3, 2]], ma=[], sigma2=np.ones(4))
+        with np.errstate(all="ignore"):
+            table = green_coefficients(model, 1, 800)
+        assert np.isnan(table.values).sum() == 143
+        assert table.overflowing
+
 
 def indexed_green_loop(model, t, max_lag):
     """Reference: the scalar recurrence with one table lookup and one index
@@ -518,6 +527,11 @@ class TestContractEdges:
     def test_zero_order_fundamental_rejected(self, rng):
         with pytest.raises(ValueError, match="order"):
             build_fundamental(random_model(rng), 0, 0)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0)], ids=repr)
+    def test_non_integer_order_rejected(self, rng, bad):
+        with pytest.raises(ValueError, match=r"^order must be an integer >= 1, got "):
+            build_fundamental(random_model(rng, p=1), 0, bad)
 
     def test_bad_principal_submatrix(self, rng):
         f = build_fundamental(random_model(rng, p=1, q=0), 0, 3)

@@ -1,11 +1,22 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
+import parma.model
 from parma import (
+    ForecastOrigin,
     ModelValidationError,
     PeriodicModel,
     SeasonClock,
+    SimPlan,
+    build_vsform,
     is_constant,
+    moment_profile,
+    predict,
+    simulate,
     validate,
     violations,
 )
@@ -18,9 +29,13 @@ from parma.model import (
 from conftest import random_model
 
 
-def par14(phi=(0.9, 0.8, 0.7, 0.6), sigma2=(1.0, 1.0, 1.0, 1.0)):
-    return PeriodicModel(l=4, p=1, q=0, drift=np.zeros(4), ar=[list(phi)],
-                         ma=[], sigma2=list(sigma2))
+def par14_args(phi=(0.9, 0.8, 0.7, 0.6), sigma2=(1.0, 1.0, 1.0, 1.0)):
+    return dict(l=4, p=1, q=0, drift=np.zeros(4), ar=[list(phi)], ma=[],
+                sigma2=list(sigma2))
+
+
+def par14(**kwargs):
+    return PeriodicModel(**par14_args(**kwargs))
 
 
 class TestSeasonClock:
@@ -58,6 +73,13 @@ class TestSeasonClock:
             clock.compose(0, 0)
 
 
+def refused(**kwargs):
+    """The violations a model built from ``kwargs`` is refused with."""
+    with pytest.raises(ModelValidationError) as err:
+        PeriodicModel(**kwargs)
+    return err.value.violations
+
+
 class TestValidate:
     def test_valid_par14_passes(self):
         model = par14()
@@ -65,29 +87,23 @@ class TestValidate:
         assert violations(model) == []
 
     def test_zero_variance_rejected(self):
-        model = par14(sigma2=(1.0, 0.0, 1.0, 1.0))
-        found = violations(model)
+        found = refused(**par14_args(sigma2=(1.0, 0.0, 1.0, 1.0)))
         assert [v.kind for v in found] == [NON_POSITIVE_VARIANCE]
         assert "season(s): 2" in found[0].message
-        with pytest.raises(ModelValidationError):
-            validate(model)
 
     def test_wrong_ar_width_rejected(self):
-        model = PeriodicModel(l=4, p=1, q=0, drift=np.zeros(4),
-                              ar=[[0.5, 0.5, 0.5]], ma=[], sigma2=np.ones(4))
-        kinds = [v.kind for v in violations(model)]
-        assert kinds == [SHAPE_MISMATCH]
+        found = refused(l=4, p=1, q=0, drift=np.zeros(4), ar=[[0.5, 0.5, 0.5]],
+                        ma=[], sigma2=np.ones(4))
+        assert [v.kind for v in found] == [SHAPE_MISMATCH]
 
     def test_nan_coefficient_rejected(self):
-        model = par14(phi=(0.9, np.nan, 0.7, 0.6))
-        kinds = [v.kind for v in violations(model)]
-        assert NON_FINITE_COEFFICIENT in kinds
+        found = refused(**par14_args(phi=(0.9, np.nan, 0.7, 0.6)))
+        assert NON_FINITE_COEFFICIENT in [v.kind for v in found]
 
     def test_all_violations_reported_together(self):
-        model = PeriodicModel(l=2, p=1, q=0, drift=[0.0, 0.0],
-                              ar=[[np.inf, 0.2]], ma=[], sigma2=[-1.0, 1.0])
-        kinds = {v.kind for v in violations(model)}
-        assert kinds == {NON_FINITE_COEFFICIENT, NON_POSITIVE_VARIANCE}
+        found = refused(l=2, p=1, q=0, drift=[0.0, 0.0], ar=[[np.inf, 0.2]], ma=[],
+                        sigma2=[-1.0, 1.0])
+        assert {v.kind for v in found} == {NON_FINITE_COEFFICIENT, NON_POSITIVE_VARIANCE}
 
     def test_pure_noise_model_is_valid(self):
         model = PeriodicModel(l=3, p=0, q=0, drift=np.ones(3), ar=[], ma=[],
@@ -99,17 +115,14 @@ class TestValidate:
             assert violations(random_model(rng)) == []
 
     def test_bad_orders_reported(self):
-        model = PeriodicModel(l=2, p=-1, q=0, drift=[0.0, 0.0], ar=[], ma=[],
-                              sigma2=[1.0, 1.0])
-        assert [v.kind for v in violations(model)] == [SHAPE_MISMATCH]
+        found = refused(l=2, p=-1, q=0, drift=[0.0, 0.0], ar=[], ma=[], sigma2=[1.0, 1.0])
+        assert [v.kind for v in found] == [SHAPE_MISMATCH]
 
     @pytest.mark.parametrize("field", ["l", "p", "q"])
     def test_bool_orders_rejected(self, field):
         shape = dict(l=1, p=1, q=1)
         shape[field] = True
-        model = PeriodicModel(**shape, drift=[0.0], ar=[[0.5]], ma=[[0.2]],
-                              sigma2=[1.0])
-        found = violations(model)
+        found = refused(**shape, drift=[0.0], ar=[[0.5]], ma=[[0.2]], sigma2=[1.0])
         assert [v.kind for v in found] == [SHAPE_MISMATCH]
         assert "got True" in found[0].message
 
@@ -119,17 +132,44 @@ class TestValidate:
     ])
     def test_bad_order_with_empty_table_is_a_violation(self, shape):
         # an empty coefficient table must not be shaped from a bad order
-        model = PeriodicModel(**shape, ma=[], sigma2=[1.0] * len(shape["drift"]))
-        with pytest.raises(ModelValidationError) as err:
-            validate(model)
-        assert [v.kind for v in err.value.violations] == [SHAPE_MISMATCH]
-        assert f"got {shape['l']!r}" in str(err.value)
+        found = refused(**shape, ma=[], sigma2=[1.0] * len(shape["drift"]))
+        assert [v.kind for v in found] == [SHAPE_MISMATCH]
+        assert f"got {shape['l']!r}" in found[0].message
 
     def test_bad_period_length_short_circuits(self):
-        model = PeriodicModel(l=0, p=0, q=0, drift=[], ar=[], ma=[],
-                              sigma2=[])
-        found = violations(model)
+        found = refused(l=0, p=0, q=0, drift=[], ar=[], ma=[], sigma2=[])
         assert len(found) == 1 and "period length" in found[0].message
+
+    def test_inputs_are_copied(self):
+        # the model owns its arrays: the caller's, views included, stay writable
+        # and writing to them leaves the checked model as it was
+        base = np.array([[0.9, 0.8, 0.7, 0.6], [0.1, 0.2, 0.3, 0.4]])
+        drift, sigma2 = np.zeros(4), np.ones(4)
+        model = PeriodicModel(l=4, p=1, q=1, drift=drift, ar=base[:1], ma=base[1:],
+                              sigma2=sigma2)
+        base[:] = np.nan
+        drift[0] = np.inf
+        sigma2[1] = 0.0
+        assert_array_equal(model.ar, [[0.9, 0.8, 0.7, 0.6]])
+        assert_array_equal(model.ma, [[0.1, 0.2, 0.3, 0.4]])
+        assert_array_equal(model.drift, np.zeros(4))
+        assert_array_equal(model.sigma2, np.ones(4))
+        assert violations(model) == []
+
+    def test_entry_points_do_not_check_again(self, monkeypatch):
+        calls = []
+        real = parma.model.validate
+        monkeypatch.setattr(parma.model, "validate", lambda m: calls.append(m) or real(m))
+        model = PeriodicModel(l=4, p=2, q=1, drift=[0.1, 0.2, 0.3, 0.4],
+                              ar=[[0.5, 0.4, 0.3, 0.2], [0.1, -0.1, 0.1, -0.1]],
+                              ma=[[0.3, 0.2, 0.1, 0.0]], sigma2=[1.0, 2.0, 1.0, 0.5])
+        assert calls == [model]  # the check runs once, when the model is built
+        calls.clear()
+        predict(model, ForecastOrigin(time=3, tail=[1.0, 0.5], innovations=[0.2]), 14)
+        moment_profile(model)
+        simulate(SimPlan(model, length=20, seed=1))
+        build_vsform(model)
+        assert calls == []
 
 
 class TestIsConstant:
@@ -176,3 +216,14 @@ class TestCoefficientView:
         model = par14()
         with pytest.raises(ValueError):
             model.ar[0, 0] = 0.0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_read_only(self, clone):
+        model = par14()
+        twin = clone(model)
+        assert (twin.l, twin.p, twin.q, twin.clock) == (model.l, model.p, model.q, model.clock)
+        for name in ("drift", "ar", "ma", "sigma2"):
+            assert_array_equal(getattr(twin, name), getattr(model, name))
+            assert not getattr(twin, name).flags.writeable

@@ -310,6 +310,11 @@ class TestUnconditionalMean:
         with pytest.raises(ValueError, match="lag"):
             autocovariance(par14(0.5), 1, -1)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0)], ids=repr)
+    def test_non_integer_lag_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^lag must be an integer >= 0, got "):
+            autocovariance(par14(0.5), 1, bad)
+
 
 class TestUnconditionalVariance:
     def test_pure_noise_is_sigma2(self):

@@ -66,6 +66,14 @@ class TestPlanContracts:
         with pytest.raises(ValueError, match="dist"):
             SimPlan(white_noise(), length=5, dist="cauchy")
 
+    @pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0), "5"], ids=repr)
+    @pytest.mark.parametrize("field", ["length", "n_paths", "burn_in"])
+    def test_non_integer_counts_rejected_by_name(self, field, bad):
+        counts = dict(length=5, n_paths=2, burn_in=40)
+        counts[field] = bad
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
+            SimPlan(white_noise(), **counts)
+
     def test_custom_draws_shape_checked(self):
         plan = SimPlan(white_noise(), length=5, dist="custom",
                        custom=np.zeros((1, 3)))
@@ -220,6 +228,13 @@ class TestMcForecastExperiment:
         assert all(r.passed for r in rows)
         # conditional mean-square error grows but stays matched
         assert rows[-1].theoretical_mse > rows[0].theoretical_mse
+
+    @pytest.mark.parametrize("bad", [1, True, 2.5], ids=repr)
+    def test_path_count_needs_a_standard_error(self, bad):
+        # a single path has no standard error: its nan must not read as a pass
+        model = PeriodicModel.constant(ar=[0.5], l=2)
+        with pytest.raises(ValueError, match=r"^n_paths must be an integer >= 2, got "):
+            mc_forecast_experiment(model, ForecastOrigin(time=0, tail=[1.0]), 2, n_paths=bad)
 
     def test_parma11_uses_ma_adjusted_weights(self):
         model = PeriodicModel(l=2, p=1, q=1, drift=np.zeros(2),

@@ -36,6 +36,12 @@ class TestContracts:
         with pytest.raises(ValueError, match="steps"):
             SolutionInput(model, 0, -1, initial=[1.0], innovations=[])
 
+    @pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0)], ids=repr)
+    def test_non_integer_steps_rejected(self, rng, bad):
+        model = random_model(rng, p=1, q=0)
+        with pytest.raises(ValueError, match=r"^steps must be an integer >= 0, got "):
+            SolutionInput(model, 0, bad, initial=[1.0], innovations=[0.0])
+
 
 class TestSpecialCases:
     def test_zero_steps_is_identity(self, rng):

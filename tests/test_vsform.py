@@ -225,6 +225,12 @@ class TestVsForecastContracts:
         with pytest.raises(ValueError, match="n_periods"):
             vs_forecast(model, [0.0, 0.0, 0.0], 0)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0)], ids=repr)
+    def test_non_integer_periods_rejected(self, rng, bad):
+        model = random_model(rng, p=1, q=0, l=2)
+        with pytest.raises(ValueError, match=r"^n_periods must be an integer >= 1, got "):
+            vs_forecast(model, [0.0, 0.0], bad)
+
     def test_pure_noise_forecasts_drift_path(self):
         model = PeriodicModel(l=2, p=0, q=0, drift=[0.3, -0.1], ar=[],
                               ma=[], sigma2=np.ones(2))
