@@ -1,13 +1,16 @@
 """Optimal multi-step predictors, forecast-error weights and mean-square errors.
 
-The h-step-ahead conditional mean from origin ``tau`` is the general
-solution with future innovations set to zero, plus (for MA orders above
-zero) the weighted pre-origin innovations that remain in the information
-set:
+The solution writes ``y_t``, ``t = tau + h``, as a Green-weighted sum of the
+forcing at ``tau+1 .. t``, where the AR and MA terms that read ``y`` or ``eps``
+at or before the origin ``tau`` count as forcing.  The h-step-ahead conditional
+mean is that sum with the future innovations set to zero:
 
-    point(h) = sum_{r<h} g[r] drift(t-r) + g[h] y_tau
-               + sum_{m=1..p-1} sum_{i=1..p-m} phi_{m+i}(tau+i) g[h-i] y_{tau-m}
-               + sum_{r=h..h-1+q} w'[r] eps_{t-r},        t = tau + h.
+    point(h) = sum_{r<h} g[r] f(t-r),
+    f(tau+i) = drift(tau+i) + sum_{j>=i} phi_j(tau+i) y_{tau+i-j}
+                            + sum_{j>=i} theta_j(tau+i) eps_{tau+i-j}.
+
+The theta sums alone, weighted by ``g[h-i]``, are reported as the
+known-innovation adjustment.
 
 The forecast error is ``sum_{r<h} w[r] eps_{t-r}`` with ``w`` the
 error-weight sequence (the Green coefficients themselves when q = 0), so
@@ -18,7 +21,7 @@ Because the innovation variance is periodic, mse(h) need not be monotone
 in h.  All weights anchor at the *target* time, not the origin; the report
 records each target season to make that explicit.
 Each target season's table and weights are built once; horizon ``h`` reads
-a prefix: daily (l = 365, p = 4, q = 2) ``predict`` to H = 365 takes 9-16 ms.
+a prefix: daily (l = 365, p = 4, q = 2) ``predict`` to H = 365 takes 8-14 ms.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import _known_weights, _season_weights, season_tables
+from .greens import _season_weights, season_tables
 from .model import PeriodicModel, _check_int, backwards
-from .solution import homogeneous_coefficients
+from .solution import _pre_origin
 
 __all__ = [
     "ForecastOrigin",
@@ -81,6 +84,7 @@ class ForecastOrigin:
     innovations: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        _check_int(self.time, "time", None)
         object.__setattr__(self, "tail", np.asarray(self.tail, dtype=float).ravel())
         if self.innovations is not None:
             object.__setattr__(
@@ -137,8 +141,8 @@ class ForecastReport:
 
 
 def _target_rows(model: PeriodicModel, origin_time: int, max_horizon: int):
-    """Tables of targets ``origin+1 .. origin+min(H, l)``, the row ``rows[h-1]`` that
-    target ``origin + h`` reads, its error weights and the MSE per horizon."""
+    """Tables (lags ``0 ..``) of targets ``origin+1 .. origin+min(H, l)``, the row
+    ``rows[h-1]`` that target ``origin + h`` reads, its error weights and the MSEs."""
     _check_int(max_horizon, "max_horizon", 1)
     targets = origin_time + np.arange(1, min(max_horizon, model.l) + 1)
     tables = season_tables(model, max_horizon, targets)
@@ -148,7 +152,7 @@ def _target_rows(model: PeriodicModel, origin_time: int, max_horizon: int):
     views = [weights[r, :h] for h, r in enumerate(rows.tolist(), start=1)]
     sigma2 = backwards(model.sigma2, origin_time + max_horizon, max_horizon)
     mses = np.array([np.dot(w * w, sigma2[max_horizon - len(w):]) for w in views])
-    return tables, rows, views, mses
+    return tables[:, max(model.p, 1) - 1:], rows, views, mses
 
 
 def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> ForecastReport:
@@ -163,31 +167,23 @@ def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> F
     """
     _check_origin(model, origin)
     with np.errstate(all="ignore"):  # _require_finite reports non-finite values
-        tau, p = origin.time, model.p
-        tables, rows, views, mses = _target_rows(model, tau, max_horizon)
-        pad = max(p, 1) - 1
-        g = tables[:, pad:]
-        hs = np.arange(1, max_horizon + 1)
-        pairs = list(enumerate(rows.tolist(), start=1))
-        drift = backwards(model.drift, tau + max_horizon, max_horizon)
-        points = np.array([np.dot(g[r, :h], drift[max_horizon - h:]) for h, r in pairs])
-        if p:
-            points += g[rows, hs] * origin.tail[0]
-            for m, coefs in enumerate(homogeneous_coefficients(model, tau), start=1):
-                acc = np.zeros(max_horizon)
-                for i, c in enumerate(coefs, start=1):
-                    acc += c * tables[rows, pad + hs - i]  # lag h-i may be a seed
-                points += acc * origin.tail[m]
-        adjustments = np.zeros(max_horizon)
-        if model.q:
-            known = _known_weights(model, tau + hs, hs, g, rows)
-            adjustments = np.array([np.dot(w, origin.innovations) for w in known])
-            points += adjustments
+        tau, H = origin.time, max_horizon
+        g, rows, views, mses = _target_rows(model, tau, H)
+        ma = _pre_origin(model.ma, tau, origin.innovations if model.q else ())
+        forcing = backwards(model.drift, tau + H, H)  # f(tau+i) at index H - i
+        for part in (_pre_origin(model.ar, tau, origin.tail), ma):
+            n = min(len(part), H)
+            forcing[H - n:] += part[:n][::-1]
+        pairs = enumerate(rows.tolist(), start=1)
+        points = np.array([np.dot(g[r, :h], forcing[H - h:]) for h, r in pairs])
+        adjustments = np.zeros(H)
+        for i, m in enumerate(ma, start=1):  # horizons h >= i read g[h-i]
+            adjustments[i - 1:] += g[rows[i - 1:], np.arange(H - i + 1)] * m
         _require_finite(mses, points)
 
     return ForecastReport(
         origin=tau, points=points, mses=mses, error_weights=tuple(views),
-        known_adjustments=adjustments, target_seasons=(tau + hs - 1) % model.l + 1)
+        known_adjustments=adjustments, target_seasons=(tau + np.arange(H)) % model.l + 1)
 
 
 def mse_profile(model: PeriodicModel, origin_time: int, max_horizon: int) -> np.ndarray:
@@ -196,5 +192,6 @@ def mse_profile(model: PeriodicModel, origin_time: int, max_horizon: int) -> np.
     Independent of the observed values: only the coefficient tables and
     the periodic variance schedule enter.
     """
+    _check_int(origin_time, "origin_time", None)
     with np.errstate(all="ignore"):  # _require_finite reports non-finite values
         return _require_finite(_target_rows(model, origin_time, max_horizon)[3])

@@ -26,7 +26,9 @@ For PARMA models two derived weight sequences appear:
 * ``error_weights`` -- weights of the post-origin innovations in the
   forecast error, equal to the moving-average-infinity (psi) weights;
 * ``known_innovation_weights`` -- weights multiplying the ``q`` pre-origin
-  innovations in the optimal predictor.
+  innovations in the optimal predictor, for one target and lead.  ``predict``
+  does not call it: it adds the MA terms that read those innovations to the
+  forcing at ``tau+1 .. tau+q``, which the Green table then weights.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ _LU_MAX = 512
 class GreenTable:
     """Green-function values for one anchor season.
 
-    ``values`` stores lags ``-(p-1) .. max_lag`` contiguously (seed zeros
-    included) so predictor formulas can index below zero without special
-    cases.  Use :meth:`value` / :meth:`lags` for lag-indexed access.
+    ``values`` stores lags ``-(p-1) .. max_lag`` contiguously, the seed zeros
+    of the recurrence included.  Use :meth:`value` / :meth:`lags` for
+    lag-indexed access.
     """
 
     anchor_season: int
@@ -163,6 +165,7 @@ def green_coefficients(model: PeriodicModel, t: int, max_lag: int) -> GreenTable
     daily-seasonality table (l = 365, p = 4) to lag 10,000 takes 6-9 ms
     (2-core 2.1 GHz Xeon VM).
     """
+    _check_int(t, "t", None)
     _check_int(max_lag, "max_lag")
     g = _recurrence(model, (t - 1) % model.l, [0.0] * (max(model.p, 1) - 1) + [1.0],
                     [0.0] * max_lag)
@@ -178,8 +181,10 @@ def season_tables(model: PeriodicModel, max_lag: int, seasons=None) -> np.ndarra
     365 take 6-11 ms, against 300-380 ms one by one (2-core 2.1 GHz Xeon VM).
     """
     _check_int(max_lag, "max_lag")
-    anchors = np.arange(1, model.l + 1) if seasons is None else np.asarray(seasons, dtype=np.int64)
-    s0 = (anchors.reshape(-1) - 1) % model.l
+    anchors = np.arange(1, model.l + 1) if seasons is None else np.asarray(seasons)
+    if anchors.size and not np.issubdtype(anchors.dtype, np.integer):
+        raise ValueError(f"seasons must hold integer times, got {seasons!r}")
+    s0 = (anchors.reshape(-1).astype(np.int64) - 1) % model.l
     pad = max(model.p, 1) - 1
     out = np.zeros((len(s0), pad + max_lag + 1))
     out[:, pad] = 1.0
@@ -225,18 +230,6 @@ def error_weights(model: PeriodicModel, t: int, horizon: int) -> np.ndarray:
     return _season_weights(model, table.values[None], [t])[0]
 
 
-def _known_weights(model: PeriodicModel, targets, leads, g, rows) -> np.ndarray:
-    """:func:`known_innovation_weights` of ``(targets[k], leads[k])``; row ``g[rows[k]]``."""
-    out = np.zeros((len(leads), model.q))
-    for idx in range(model.q):
-        for j in range(idx + 1, model.q + 1):
-            lag = leads + idx - j
-            k = np.flatnonzero(lag >= 0)
-            theta = model.ma[j - 1][(targets[k] - 1 - lag[k]) % model.l]
-            out[k, idx] += g[rows[k], lag[k]] * theta
-    return out
-
-
 def known_innovation_weights(model: PeriodicModel, t: int, lead: int) -> np.ndarray:
     """Predictor weights on the ``q`` innovations known at the forecast origin.
 
@@ -246,11 +239,13 @@ def known_innovation_weights(model: PeriodicModel, t: int, lead: int) -> np.ndar
     not an error).
     """
     _check_int(lead, "lead", 1)
-    if model.q == 0:
-        return np.zeros(0)
-    table = green_coefficients(model, t, lead - 1)
-    return _known_weights(model, np.array([t]), np.array([lead]), table.nonnegative[None],
-                          np.zeros(1, dtype=int))[0]
+    g = green_coefficients(model, t, lead - 1).nonnegative
+    out = np.zeros(model.q)
+    for idx in range(model.q):  # the weight on eps_{t-lead-idx}
+        for j in range(idx + 1, min(model.q, lead + idx) + 1):  # lags lead + idx - j >= 0
+            lag = lead + idx - j
+            out[idx] += g[lag] * model.ma[j - 1, (t - 1 - lag) % model.l]
+    return out
 
 
 @dataclass(frozen=True)
@@ -282,6 +277,7 @@ class FundamentalMatrix:
 
 def build_fundamental(model: PeriodicModel, t: int, order: int) -> FundamentalMatrix:
     """Construct the dense fundamental solution matrix of a given order."""
+    _check_int(t, "t", None)
     _check_int(order, "order", 1)
     a = np.zeros((order, order))
     i = np.arange(1, order + 1)  # 1-based rows

@@ -99,10 +99,11 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_int(value, name: str, low: int = 0) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``low``."""
-    if not (_is_int(value) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_int(value, name: str, low: int | None = 0) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer, >= ``low`` if not None."""
+    if not (_is_int(value) and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def _as_table(values, rows: int, cols: int) -> np.ndarray:

@@ -178,6 +178,8 @@ def load_series(path: str, model: PeriodicModel) -> Series:
                 f"file says {season}")
         times.append(t)
         values.append(value)
+    if not times:
+        raise FileFormatError(f"{path}: no observations")
     times_arr = np.array(times, dtype=int)
     if np.any(np.diff(times_arr) != 1):
         raise FileFormatError(f"{path}: times must be consecutive integers")

@@ -227,6 +227,7 @@ def unconditional_mean(model: PeriodicModel, season: int,
                        truncation: int | None = None,
                        diagnostic: ConvergenceDiagnostic | None = None) -> float:
     """Mean of the process in a given season (truncated drift series)."""
+    _check_int(season, "season", None)
     diag = _require_convergent(model, diagnostic)
     r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)[0]
     g = green_coefficients(model, season, r_max).nonnegative
@@ -249,6 +250,7 @@ def autocovariance(model: PeriodicModel, season: int, lag: int,
     their own time points (``t`` and ``t - lag``), whose seasons generally
     differ.
     """
+    _check_int(season, "season", None)
     _check_int(lag, "lag")
     diag = _require_convergent(model, diagnostic)
     r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)[0]

@@ -1,18 +1,18 @@
 """Exact solution of the periodic difference equation.
 
-Anchored at an origin ``tau`` with ``p`` initial values, the value ``nl``
-steps later splits into a homogeneous part (what the initial conditions
-propagate to) and a particular part (accumulated drift plus accumulated
-innovations), each a linear combination with Green-coefficient weights:
+Anchored at an origin ``tau`` with ``p`` initial values, the value ``nl >= 1``
+steps later is a Green-weighted sum of the forcing at ``tau+1 .. t``,
+``t = tau + nl``.  The AR terms at ``tau + i`` that read ``y`` at or before
+``tau`` are forcing too, so the sum splits into a homogeneous part (what the
+initial conditions propagate to) and a particular part (accumulated drift
+plus accumulated innovations):
 
-    hom   = g[nl] * y_tau
-            + sum_{m=1..p-1} sum_{i=1..p-m} phi_{m+i}(tau+i) g[nl-i] y_{tau-m}
+    hom   = sum_{i=1..min(p,nl)} g[nl-i] * sum_{j=i..p} phi_j(tau+i) y_{tau+i-j}
     par   = sum_{r=0..nl-1} g[r] * drift(t-r) + sum_{r=0..nl-1} g[r] * u_{t-r}
 
 with ``u_s = eps_s + sum_j theta_j(s) eps_{s-j}`` (plain ``eps`` when
-``q = 0``) and ``g`` the Green table anchored at ``t = tau + nl``.  The
-``m = 0`` inner sum equals ``g[nl]`` by the first-column expansion, so it
-is taken straight from the table.
+``q = 0``) and ``g`` the Green table anchored at ``t``.  At ``nl = 0`` the
+value is ``y_tau`` itself, all of it homogeneous.
 
 :func:`direct_recursion` iterates the difference equation step by step and
 serves as the independent oracle for :func:`general_solution`.
@@ -57,6 +57,7 @@ class SolutionInput:
     innovations: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_int(self.origin, "origin", None)
         _check_int(self.steps, "steps")
         object.__setattr__(self, "initial",
                            np.asarray(self.initial, dtype=float).ravel())
@@ -102,11 +103,14 @@ def _forcing(inp: SolutionInput, t: int) -> float:
     return u
 
 
-def homogeneous_coefficients(model: PeriodicModel, origin: int) -> list[list[float]]:
-    """``phi_{m+i}(origin+i)``, ``i = 1..p-m``, weights of ``y_{origin-m}``, ``m >= 1``."""
-    return [[float(model.ar[m + i - 1, (origin + i - 1) % model.l])
-             for i in range(1, model.p - m + 1)]
-            for m in range(1, model.p)]
+def _pre_origin(coefs: np.ndarray, origin: int, past) -> np.ndarray:
+    """The forcing at ``origin + i``, ``i = 1..len(past)``, that reads ``past`` (values at
+    or before the origin, newest first): ``sum_{j>=i} coefs[j-1](origin+i) * past[j-i]``
+    in ``j`` order.  ``(model.ar, y)`` gives the AR terms, ``(model.ma, eps)`` the MA ones."""
+    n, l = len(past), coefs.shape[1]
+    return np.array([sum((coefs[j - 1, (origin + i - 1) % l] * past[j - i]
+                          for j in range(i, n + 1)), 0.0)
+                     for i in range(1, n + 1)])
 
 
 def general_solution(inp: SolutionInput) -> SolutionDecomposition:
@@ -114,21 +118,18 @@ def general_solution(inp: SolutionInput) -> SolutionDecomposition:
 
     ``steps = 0`` returns the identity (``total == y_tau``); ``steps = 1``
     reproduces one step of the difference equation.  ``p > steps`` is
-    allowed: the seed values of the Green table keep every sum total.
+    allowed: only the AR terms at ``tau+1 .. t`` enter.
     """
     model = inp.model
     t = inp.origin + inp.steps
-    table = green_coefficients(model, t, inp.steps)
-
-    hom = table.value(inp.steps) * inp.initial[0] if model.p else 0.0
-    for m, coefs in enumerate(homogeneous_coefficients(model, inp.origin), start=1):
-        acc = 0.0
-        for i, c in enumerate(coefs, start=1):
-            acc += c * table.value(inp.steps - i)
-        hom += acc * inp.initial[m]
+    g = green_coefficients(model, t, inp.steps).nonnegative
+    hom = inp.initial[0] if model.p else 0.0  # steps = 0: y_tau itself
+    if inp.steps:  # the Green-weighted AR forcing at origin + 1 .. origin + min(p, steps)
+        ar = _pre_origin(model.ar, inp.origin, inp.initial)
+        hom = sum((g[inp.steps - i] * ar[i - 1]
+                   for i in range(1, min(model.p, inp.steps) + 1)), 0.0)
 
     view = model.view()
-    g = table.nonnegative
     par_drift = 0.0
     par_noise = 0.0
     for r in range(inp.steps):

@@ -206,6 +206,14 @@ class TestExitCodes:
         assert code == 2
         assert "season" in err
 
+    def test_header_only_series_is_2(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("time,season,value\n")
+        code, out, err = run(capsys, "forecast", f"{FIXTURES}/par12.yaml",
+                             "--series", str(empty))
+        assert code == 2
+        assert out == "" and "empty.csv: no observations" in err
+
     def test_bool_order_is_2(self, capsys, tmp_path):
         target = tmp_path / "bool.yaml"
         target.write_text("schema: parma-model-v1\nl: 1\np: true\nq: 0\n"

@@ -119,12 +119,12 @@ class TestPointForecasts:
                 ForecastOrigin(time=tau, tail=tail,
                                innovations=known if model.q else None),
                 horizon)
-            eps = np.concatenate([known[::-1], np.zeros(horizon)])
-            want = direct_recursion(SolutionInput(
-                model, origin=tau, steps=horizon, initial=tail,
-                innovations=eps))
-            assert_allclose(report.points[horizon - 1], want, rtol=1e-9,
-                            atol=1e-12)
+            # every horizon, so the forcing at h <= max(p, q) is placed right
+            want = [direct_recursion(SolutionInput(
+                model, origin=tau, steps=h, initial=tail,
+                innovations=np.concatenate([known[::-1], np.zeros(h)])))
+                for h in range(1, horizon + 1)]
+            assert_allclose(report.points, want, rtol=1e-9, atol=1e-12)
 
     def test_parma_known_innovation_adjustment(self):
         model = PeriodicModel.constant(ar=[0.5], ma=[0.3], l=1)
@@ -241,13 +241,25 @@ class TestIntervals:
 def per_horizon_forecast(model, origin, max_horizon):
     """Reference: one Green table per target season and a per-horizon loop.
 
-    Every horizon rebuilds its weights from that table with the per-lag
-    loops; ``predict`` and ``mse_profile`` must match it bit for bit.
+    Every horizon rebuilds its forcing and weights with per-term loops;
+    ``predict`` and ``mse_profile`` must match it bit for bit.  The point is
+    the Green-weighted forcing, whose terms at ``tau + i`` read the tail and
+    the known innovations; ``homogeneous_points`` is the same point written as
+    the homogeneous double sum plus the known-innovation weights.
     """
     tau, l, p = origin.time, model.l, model.p
     view = model.view()
+    known = origin.innovations if model.q else ()
+
+    def term(coefs, past, i):  # the forcing at tau + i that reads past[0], past[1], ...
+        acc = 0.0
+        for j in range(i, len(past) + 1):
+            acc += coefs[j - 1, (tau + i - 1) % l] * past[j - i]
+        return acc
+
     tables = {}
     points, mses, adjustments, weights, seasons = [], [], [], [], []
+    homogeneous_points = []
     for h in range(1, max_horizon + 1):
         t = tau + h
         s = model.season(t)
@@ -256,25 +268,38 @@ def per_horizon_forecast(model, origin, max_horizon):
         table = tables[s]
         g = table.nonnegative
         back = (t - 1 - np.arange(h)) % l
-        point = float(np.dot(g[:h], model.drift[back]))
+        forcing = []
+        for r in range(h):
+            i = h - r  # the forcing at t - r = tau + i
+            f = view.drift(tau + i)
+            if i <= p:
+                f += term(model.ar, origin.tail, i)
+            if i <= model.q:
+                f += term(model.ma, known, i)
+            forcing.append(f)
+        adj = 0.0
+        for i in range(1, min(model.q, h) + 1):
+            adj += g[h - i] * term(model.ma, known, i)
+        point = float(np.dot(g[:h], forcing))
+
+        old = float(np.dot(g[:h], model.drift[back]))
         if p:
-            point += table.value(h) * origin.tail[0]
+            old += table.value(h) * origin.tail[0]
             for m in range(1, p):
                 acc = 0.0
                 for i in range(1, p - m + 1):
                     acc += view.ar(m + i, tau + i) * table.value(h - i)
-                point += acc * origin.tail[m]
-        adj = 0.0
+                old += acc * origin.tail[m]
         if model.q:
-            adj = float(np.dot(naive_known_weights(model, t, h), origin.innovations))
-            point += adj
+            old += float(np.dot(naive_known_weights(model, t, h), origin.innovations))
         w = naive_error_weights(model, t, h)
         points.append(point)
+        homogeneous_points.append(old)
         mses.append(float(np.dot(w * w, model.sigma2[back])))
         adjustments.append(adj)
         weights.append(w)
         seasons.append(s)
-    return points, mses, adjustments, weights, seasons
+    return points, mses, adjustments, weights, seasons, homogeneous_points
 
 
 class TestMatchesPerHorizonLoop:
@@ -291,9 +316,11 @@ class TestMatchesPerHorizonLoop:
                 innovations=rng.normal(size=model.q) if model.q else None)
             for horizon in sorted({1, 2, 5, 9, l - 1, l, l + 3, 2 * l + 7} - {0}):
                 report = predict(model, origin, horizon)
-                points, mses, adjustments, weights, seasons = \
+                points, mses, adjustments, weights, seasons, homogeneous = \
                     per_horizon_forecast(model, origin, horizon)
                 assert_array_equal(report.points, points)
+                # the forcing form and the homogeneous form differ in float order only
+                assert_allclose(points, homogeneous, rtol=1e-13, atol=1e-13)
                 assert_array_equal(report.mses, mses)
                 assert_array_equal(report.known_adjustments, adjustments)
                 assert_array_equal(report.target_seasons, seasons)

@@ -22,6 +22,8 @@ from parma import (
     mse_profile,
     predict,
     season_tables,
+    unconditional_mean,
+    unconditional_variance,
 )
 from parma.greens import _season_weights
 
@@ -558,3 +560,31 @@ class TestContractEdges:
         model = random_model(np.random.default_rng(3), p=1, q=1, l=2)
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
             call(model, bad)
+
+    TIME_CALLS = [
+        ("t", lambda model, t: green_coefficients(model, t, 4)),
+        ("seasons", lambda model, t: season_tables(model, 4, [t])),
+        ("t", lambda model, t: build_fundamental(model, t, 3)),
+        ("origin_time", lambda model, t: mse_profile(model, t, 4)),
+        ("time", lambda model, t: predict(
+            model, ForecastOrigin(time=t, tail=[1.0], innovations=[0.5]), 4)),
+        ("origin", lambda model, t: general_solution(SolutionInput(
+            model, origin=t, steps=2, initial=[1.0], innovations=[0.5, 0.1, 0.2]))),
+        ("season", lambda model, t: unconditional_mean(model, t)),
+        ("season", lambda model, t: unconditional_variance(model, t)),
+    ]
+    TIME_IDS = ["green_coefficients", "season_tables", "build_fundamental", "mse_profile",
+                "ForecastOrigin", "SolutionInput", "unconditional_mean", "unconditional_variance"]
+
+    @pytest.mark.parametrize("bad", [True, 1.5, np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("name,call", TIME_CALLS, ids=TIME_IDS)
+    def test_non_integer_time_rejected_by_name(self, name, call, bad):
+        # a float or bool time is named, not truncated, run as 1 or left to numpy
+        model = random_model(np.random.default_rng(3), p=1, q=1, l=2)
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            call(model, bad)
+
+    @pytest.mark.parametrize("t", [-7, np.int64(-7), 0], ids=repr)
+    @pytest.mark.parametrize("name,call", TIME_CALLS, ids=TIME_IDS)
+    def test_negative_and_numpy_times_accepted(self, name, call, t):
+        call(random_model(np.random.default_rng(3), p=1, q=1, l=2), t)
