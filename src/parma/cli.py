@@ -125,8 +125,7 @@ def _cmd_greens(model, args, out):
         raise _UsageError("horizon must be >= 0")
     with np.errstate(all="ignore"):  # the warning line reports overflow
         tables = season_tables(model, args.horizon)
-        coefficients = tables[:, max(model.p, 1) - 1:]
-        columns = [coefficients, _season_weights(model, tables)] if model.q else [coefficients]
+        columns = [tables, _season_weights(model, tables)] if model.q else [tables]
     if _overflowing(tables):
         out.write("# warning: coefficients exceed 1e100; double precision "
                   "is running out of headroom\n")
@@ -140,6 +139,8 @@ def _cmd_greens(model, args, out):
 def _cmd_forecast(model, args, out):
     if args.horizon < 1:
         raise _UsageError("horizon must be >= 1")
+    if not np.isfinite(args.z):
+        raise _UsageError("z must be finite")
     series = load_series(args.series, model)
     innovations = None
     if args.innovations is not None:
@@ -186,10 +187,10 @@ def _cmd_moments(model, args, out):
 
 
 def _cmd_stationarity(model, args, out):
-    if args.band < 0:
-        raise _UsageError("band must be >= 0")
-    if args.tol <= 0:
-        raise _UsageError("tol must be > 0")
+    if not 0 <= args.band < np.inf:
+        raise _UsageError("band must be finite and >= 0")
+    if not 0 < args.tol < np.inf:
+        raise _UsageError("tol must be finite and > 0")
     vs = build_vsform(model)
     verdict = stationarity(vs, boundary_band=args.band)
     out.write(f"stacked_ar_order: {vs.ar_order}\n")

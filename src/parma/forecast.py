@@ -152,7 +152,7 @@ def _target_rows(model: PeriodicModel, origin_time: int, max_horizon: int):
     views = [weights[r, :h] for h, r in enumerate(rows.tolist(), start=1)]
     sigma2 = backwards(model.sigma2, origin_time + max_horizon, max_horizon)
     mses = np.array([np.dot(w * w, sigma2[max_horizon - len(w):]) for w in views])
-    return tables[:, max(model.p, 1) - 1:], rows, views, mses
+    return tables, rows, views, mses
 
 
 def predict(model: PeriodicModel, origin: ForecastOrigin, max_horizon: int) -> ForecastReport:

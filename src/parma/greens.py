@@ -9,7 +9,7 @@ Expanding that determinant along its first column collapses it to the
 
     g[k] = sum_{i=1..min(p,k)} phi_i(t - k + i) * g[k - i],
 
-seeded with ``g[0] = 1`` and ``g[-m] = 0`` for ``m = 1..p-1``.  The
+seeded with ``g[0] = 1`` alone: lag ``k`` reads only lags ``0 .. k-1``.  The
 recurrence is exact algebra, costs ``O(p * H)`` for a table of length
 ``H``, and is the only production path; the determinant evaluators in this
 module exist to verify it.
@@ -65,9 +65,7 @@ _LU_MAX = 512
 class GreenTable:
     """Green-function values for one anchor season.
 
-    ``values`` stores lags ``-(p-1) .. max_lag`` contiguously, the seed zeros
-    of the recurrence included.  Use :meth:`value` / :meth:`lags` for
-    lag-indexed access.
+    ``values[r]`` is the weight at lag ``r``, for ``r = 0 .. max_lag``.
     """
 
     anchor_season: int
@@ -78,26 +76,11 @@ class GreenTable:
     def __post_init__(self) -> None:
         self.values.flags.writeable = False
 
-    @property
-    def _pad(self) -> int:
-        return max(self.p, 1) - 1
-
     def value(self, r: int) -> float:
-        """Green coefficient at lag ``r`` (``r >= -(p-1)``)."""
-        if r > self.max_lag or r < -self._pad:
-            raise IndexError(f"lag {r} outside -{self._pad}..{self.max_lag}")
-        return float(self.values[r + self._pad])
-
-    def lags(self, lo: int, hi: int) -> np.ndarray:
-        """Values at lags ``lo..hi`` inclusive, as an array."""
-        if hi > self.max_lag or lo < -self._pad:
-            raise IndexError(f"lags {lo}..{hi} outside -{self._pad}..{self.max_lag}")
-        return self.values[lo + self._pad:hi + 1 + self._pad]
-
-    @property
-    def nonnegative(self) -> np.ndarray:
-        """Values at lags ``0..max_lag``."""
-        return self.values[self._pad:]
+        """Green coefficient at lag ``r`` (``0 <= r <= max_lag``)."""
+        if not 0 <= r <= self.max_lag:
+            raise IndexError(f"lag {r} outside 0..{self.max_lag}")
+        return float(self.values[r])
 
     @property
     def overflowing(self) -> bool:
@@ -113,8 +96,8 @@ def _overflowing(values) -> bool:
 def _recurrence(model: PeriodicModel, s0, hist: list, targets: list) -> list:
     """Run the Green recurrence for anchors of season0 ``s0``, one lag per target.
 
-    ``hist`` holds the seeds at lags ``-(p-1) .. 0``; each lag ``k = 1, 2, ...``
-    accumulates ``phi_i(t - k + i) * g[k - i]`` onto its target, reading
+    ``hist`` holds lag 0; each lag ``k = 1, 2, ...`` accumulates
+    ``phi_i(t - k + i) * g[k - i]`` onto its target, reading
     ``g[k - i]`` as the ``i``-th last entry of ``hist``, and appends it there.
     One anchor (``s0`` an int) runs on Python floats with targets ``0.0``; many
     (``s0`` an array) run in place on the lag columns of an anchor-major buffer.
@@ -131,7 +114,7 @@ def _recurrence(model: PeriodicModel, s0, hist: list, targets: list) -> list:
         at = s0 + (-k) % l
         return [(row[at], -i) for i, row in enumerate(rows[:k], start=1)]
 
-    # lags below p skip the seed zeros; from lag p on, lag k + l replays lag k, whose
+    # lag k < p reads only lags 0..k-1; from lag p on, lag k + l replays lag k, whose
     # gathers are kept only when some lag replays them
     period = map(pairs, range(p, p + l))
     lags = itertools.chain(map(pairs, range(1, p)),
@@ -167,8 +150,7 @@ def green_coefficients(model: PeriodicModel, t: int, max_lag: int) -> GreenTable
     """
     _check_int(t, "t", None)
     _check_int(max_lag, "max_lag")
-    g = _recurrence(model, (t - 1) % model.l, [0.0] * (max(model.p, 1) - 1) + [1.0],
-                    [0.0] * max_lag)
+    g = _recurrence(model, (t - 1) % model.l, [1.0], [0.0] * max_lag)
     return GreenTable(anchor_season=model.season(t), max_lag=max_lag, p=model.p,
                       values=np.array(g))
 
@@ -176,28 +158,27 @@ def green_coefficients(model: PeriodicModel, t: int, max_lag: int) -> GreenTable
 def season_tables(model: PeriodicModel, max_lag: int, seasons=None) -> np.ndarray:
     """Read-only Green tables, one row per anchor in ``seasons`` (default ``1..l``).
 
-    Row ``i`` equals ``green_coefficients(model, seasons[i], max_lag).values``:
-    the same loop runs across all rows at once, so all 365 daily tables to lag
-    365 take 6-11 ms, against 300-380 ms one by one (2-core 2.1 GHz Xeon VM).
+    Row ``i`` equals ``green_coefficients(model, seasons[i], max_lag).values``
+    (lags ``0 .. max_lag``): the same loop runs across all rows at once, so all
+    365 daily tables to lag 365 take 6-11 ms, against 300-380 ms one by one
+    (2-core 2.1 GHz Xeon VM).
     """
     _check_int(max_lag, "max_lag")
     anchors = np.arange(1, model.l + 1) if seasons is None else np.asarray(seasons)
     if anchors.size and not np.issubdtype(anchors.dtype, np.integer):
         raise ValueError(f"seasons must hold integer times, got {seasons!r}")
     s0 = (anchors.reshape(-1).astype(np.int64) - 1) % model.l
-    pad = max(model.p, 1) - 1
-    out = np.zeros((len(s0), pad + max_lag + 1))
-    out[:, pad] = 1.0
+    out = np.zeros((len(s0), max_lag + 1))
+    out[:, 0] = 1.0
     columns = list(out.T)
-    _recurrence(model, s0, columns[:pad + 1], columns[pad + 1:])
+    _recurrence(model, s0, columns[:1], columns[1:])
     out.flags.writeable = False
     return out
 
 
-def _season_weights(model: PeriodicModel, tables: np.ndarray, seasons=None) -> np.ndarray:
+def _season_weights(model: PeriodicModel, g: np.ndarray, seasons=None) -> np.ndarray:
     """Error weights at lags ``0 .. max_lag`` of each row of a :func:`season_tables` array
-    built for ``seasons`` (default ``1..len(tables)``); shorter horizons read prefixes."""
-    g = tables[:, max(model.p, 1) - 1:]
+    ``g`` built for ``seasons`` (default ``1..len(g)``); shorter horizons read prefixes."""
     if model.q == 0:
         return g.copy()
     l, n = model.l, g.shape[1]
@@ -221,9 +202,8 @@ def error_weights(model: PeriodicModel, t: int, horizon: int) -> np.ndarray:
     """Forecast-error weights at lags ``0 .. horizon-1`` anchored at ``t``.
 
     For a pure AR model these are the Green coefficients themselves; the MA
-    part adds ``sum_j g[r-j] * theta_j(t-r+j)`` at each lag, with the
-    below-seed terms zero.  The result is also the MA-infinity weight
-    sequence of the process.
+    part adds ``sum_{j<=r} g[r-j] * theta_j(t-r+j)`` at lag ``r``.  The result
+    is also the MA-infinity weight sequence of the process.
     """
     _check_int(horizon, "horizon", 1)
     table = green_coefficients(model, t, horizon - 1)
@@ -239,7 +219,7 @@ def known_innovation_weights(model: PeriodicModel, t: int, lead: int) -> np.ndar
     not an error).
     """
     _check_int(lead, "lead", 1)
-    g = green_coefficients(model, t, lead - 1).nonnegative
+    g = green_coefficients(model, t, lead - 1).values
     out = np.zeros(model.q)
     for idx in range(model.q):  # the weight on eps_{t-lead-idx}
         for j in range(idx + 1, min(model.q, lead + idx) + 1):  # lags lead + idx - j >= 0

@@ -213,7 +213,7 @@ def _truncation(model: PeriodicModel, rho: float, extra: int = 0) -> tuple[int, 
     while True:
         probe = min(probe, TRUNCATION_CAP)
         tables = season_tables(model, probe + extra)
-        g = tables[:, model.p - 1:model.p + probe]  # lags 0..probe
+        g = tables[:, :probe + 1]
         top = np.maximum(np.max(g, axis=1), -np.min(g, axis=1))[:, None]  # max |g|
         decayed = np.all(np.abs(g[:, l::l]) < _REL_TAIL * top, axis=0)
         if decayed.any():
@@ -230,7 +230,7 @@ def unconditional_mean(model: PeriodicModel, season: int,
     _check_int(season, "season", None)
     diag = _require_convergent(model, diagnostic)
     r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)[0]
-    g = green_coefficients(model, season, r_max).nonnegative
+    g = green_coefficients(model, season, r_max).values
     return float(np.dot(g, backwards(model.drift, season, r_max + 1)))
 
 
@@ -328,7 +328,7 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
         r_max, tables = truncation, season_tables(model, truncation + direct)
 
     n = r_max + 1
-    g = tables[:, max(p, 1) - 1:][:, :n]
+    g = tables[:, :n]
     weights = _season_weights(model, tables)
     # backwards(v, s - k, n) is the window v_ext[l - s + k:][:n] of one reversed
     # periodic extension, v_ext[j] = v at season0 -1 - j: row s - 1 of

@@ -64,10 +64,10 @@ class SimPlan:
     seed : int
         Seed for the replication stream splitter.
     dist : str
-        "gaussian", "student-t" (variance-normalized, needs ``df > 2``)
+        "gaussian", "student-t" (variance-normalized, needs a finite ``df > 2``)
         or "custom" (standardized draws supplied in ``custom``).
     custom : ndarray, optional
-        Standardized innovations, shape ``(n_paths, burn_in + length)``;
+        Finite standardized innovations, shape ``(n_paths, burn_in + length)``;
         scaled by the model's periodic variance schedule.
     """
 
@@ -87,8 +87,8 @@ class SimPlan:
             _check_int(self.burn_in, "burn_in")
         if self.dist not in _DISTS:
             raise ValueError(f"dist must be one of {_DISTS}, got {self.dist!r}")
-        if self.dist == "student-t" and (self.df is None or self.df <= 2):
-            raise ValueError("student-t innovations need df > 2")
+        if self.dist == "student-t" and (self.df is None or not 2 < self.df < np.inf):
+            raise ValueError(f"student-t innovations need a finite df > 2, got {self.df!r}")
         if self.dist == "custom" and self.custom is None:
             raise ValueError("dist='custom' needs the draws in `custom`")
 
@@ -189,12 +189,12 @@ def _resolve_burn_in(plan: SimPlan) -> int:
 
 def _draws(rng: np.random.Generator, dist: str, df: float | None,
            shape) -> np.ndarray:
-    """Unit-variance Gaussian or Student-t draws (Student-t needs ``df > 2``)."""
+    """Unit-variance Gaussian or Student-t draws (Student-t needs a finite ``df > 2``)."""
     if dist == "gaussian":
         return rng.standard_normal(shape)
     if dist == "student-t":
-        if df is None or df <= 2:
-            raise ValueError("student-t innovations need df > 2")
+        if df is None or not 2 < df < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"student-t innovations need a finite df > 2, got {df!r}")
         draws = rng.standard_t(df, size=shape)
         draws /= np.sqrt(df / (df - 2.0))
         return draws
@@ -222,6 +222,8 @@ def simulate(plan: SimPlan):
             raise ValueError(
                 f"custom draws must have shape ({plan.n_paths}, {n_total}), "
                 f"got {eps.shape}")
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("custom draws must be finite")
     else:
         children = np.random.SeedSequence(plan.seed).spawn(plan.n_paths)
         eps = np.stack([_draws(np.random.default_rng(child), plan.dist, plan.df,
@@ -277,7 +279,7 @@ def mc_forecast_experiment(model: PeriodicModel, origin: ForecastOrigin,
     Simulates ``n_paths >= 2`` futures from the fixed origin (the experiment
     is conditional, so no stationarity is needed), measures the mean squared
     error of the optimal predictor per horizon, and flags agreement within
-    three standard errors of the squared-error mean.
+    three standard errors of the squared-error mean; a non-finite row fails.
     """
     _check_int(n_paths, "n_paths", 2)  # one path has no standard error
     report = predict(model, origin, max_horizon)
@@ -291,21 +293,22 @@ def mc_forecast_experiment(model: PeriodicModel, origin: ForecastOrigin,
     errors -= report.points[:, None]
 
     rows = []
-    for h in range(1, max_horizon + 1):
-        err = errors[h - 1]
-        sq = err * err
-        emp = float(sq.mean())
-        se = float(sq.std(ddof=1) / np.sqrt(n_paths))
-        theo = float(report.mses[h - 1])
-        z = (emp - theo) / se if se > 0 else 0.0
-        rows.append(McForecastRow(
-            horizon=h,
-            bias=float(err.mean()),
-            bias_limit=4.0 * float(np.sqrt(theo / n_paths)),
-            empirical_mse=emp,
-            theoretical_mse=theo,
-            std_error=se,
-            z_score=float(z),
-            passed=bool(abs(z) <= 3.0),
-        ))
+    with np.errstate(all="ignore"):  # squared errors may overflow: that row fails
+        for h in range(1, max_horizon + 1):
+            err = errors[h - 1]
+            sq = err * err
+            emp = float(sq.mean())
+            se = float(sq.std(ddof=1) / np.sqrt(n_paths))
+            theo = float(report.mses[h - 1])
+            z = (emp - theo) / se if se > 0 else 0.0
+            rows.append(McForecastRow(
+                horizon=h,
+                bias=float(err.mean()),
+                bias_limit=4.0 * float(np.sqrt(theo / n_paths)),
+                empirical_mse=emp,
+                theoretical_mse=theo,
+                std_error=se,
+                z_score=float(z),
+                passed=bool(np.isfinite(emp) and np.isfinite(se) and abs(z) <= 3.0),
+            ))
     return rows

@@ -122,7 +122,7 @@ def general_solution(inp: SolutionInput) -> SolutionDecomposition:
     """
     model = inp.model
     t = inp.origin + inp.steps
-    g = green_coefficients(model, t, inp.steps).nonnegative
+    g = green_coefficients(model, t, inp.steps).values
     hom = inp.initial[0] if model.p else 0.0  # steps = 0: y_tau itself
     if inp.steps:  # the Green-weighted AR forcing at origin + 1 .. origin + min(p, steps)
         ar = _pre_origin(model.ar, inp.origin, inp.initial)

@@ -181,6 +181,8 @@ def one_period_cross_check(model: PeriodicModel, tol: float = 1e-10) -> bool:
     """
     if not 1 <= model.p <= model.l:
         raise ValueError(f"cross-check needs 1 <= p <= l, got p={model.p}, l={model.l}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     g = green_coefficients(model, model.l, model.l).value(model.l)
     det = lu_determinant(build_fundamental(model, model.l, model.l))
     if abs(abs(g) - abs(det)) > tol * max(1.0, abs(det)):

@@ -62,7 +62,7 @@ def naive_error_weights(model, t, horizon) -> np.ndarray:
     """Per-lag loop over one Green table: the reference for ``error_weights``."""
     from parma import green_coefficients
 
-    g = green_coefficients(model, t, horizon - 1).nonnegative
+    g = green_coefficients(model, t, horizon - 1).values
     out = g[:horizon].copy()
     if model.q == 0:
         return out
@@ -79,7 +79,7 @@ def naive_known_weights(model, t, lead) -> np.ndarray:
     """Per-weight loop: the reference for ``known_innovation_weights``."""
     from parma import green_coefficients
 
-    g = green_coefficients(model, t, lead - 1).nonnegative
+    g = green_coefficients(model, t, lead - 1).values
     s0 = model.clock.season0
     out = np.zeros(model.q)
     for idx, r in enumerate(range(lead, lead + model.q)):

@@ -239,7 +239,7 @@ def test_criterion_7_constant_coefficient_reduction():
     phi1, phi2 = 0.5, 0.3  # characteristic roots 0.852, -0.352
     ar2 = PeriodicModel.constant(ar=[phi1, phi2], l=1)
     psi2 = _psi_by_division([phi1, phi2], [], 50)
-    assert np.max(np.abs(green_coefficients(ar2, 0, 50).nonnegative - psi2)) \
+    assert np.max(np.abs(green_coefficients(ar2, 0, 50).values - psi2)) \
         <= 1e-12
     tail = np.array([0.8, -1.1])
     report2 = predict(ar2, ForecastOrigin(0, tail), 12)

@@ -239,6 +239,21 @@ class TestExitCodes:
         assert code == 1
         assert "truncation must be >= l = 4" in err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("forecast", "-z"), ("stationarity", "--band"), ("stationarity", "--tol")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_option_is_2(self, capsys, command, flag, value):
+        extra = ["--series", f"{FIXTURES}/series12.csv"] if command == "forecast" else []
+        code, out, err = run(capsys, command, f"{FIXTURES}/par12.yaml", *extra, f"{flag}={value}")
+        assert code == 2
+        assert out == "" and f"{flag.lstrip('-')} must be finite" in err
+
+    def test_non_finite_student_t_df_is_1(self, capsys):
+        code, out, err = run(capsys, "simulate", f"{FIXTURES}/par12.yaml", "-n", "3",
+                             "--dist", "student-t", "--df", "inf")
+        assert code == 1
+        assert out == "" and "finite df > 2" in err
+
     def test_bad_bench_orders_is_2(self, capsys):
         code, _, err = run(capsys, "bench", f"{FIXTURES}/par12.yaml",
                            "--orders", "10,zero")

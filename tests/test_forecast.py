@@ -266,7 +266,7 @@ def per_horizon_forecast(model, origin, max_horizon):
         if s not in tables:
             tables[s] = green_coefficients(model, t, max_horizon)
         table = tables[s]
-        g = table.nonnegative
+        g = table.values
         back = (t - 1 - np.arange(h)) % l
         forcing = []
         for r in range(h):
@@ -287,7 +287,7 @@ def per_horizon_forecast(model, origin, max_horizon):
             old += table.value(h) * origin.tail[0]
             for m in range(1, p):
                 acc = 0.0
-                for i in range(1, p - m + 1):
+                for i in range(1, min(p - m, h) + 1):  # g is 0 below lag 0
                     acc += view.ar(m + i, tau + i) * table.value(h - i)
                 old += acc * origin.tail[m]
         if model.q:

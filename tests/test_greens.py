@@ -164,14 +164,13 @@ class TestGreenRecurrence:
     def test_constant_ar1_powers(self):
         model = PeriodicModel.constant(ar=[0.5], l=1)
         table = green_coefficients(model, 3, 3)
-        assert_allclose(table.nonnegative, [1.0, 0.5, 0.25, 0.125])
+        assert_allclose(table.values, [1.0, 0.5, 0.25, 0.125])
 
     def test_seed_values(self, rng):
         model = random_model(rng, p=4, q=0)
         table = green_coefficients(model, 2, 5)
         assert table.value(0) == 1.0
-        for m in (1, 2, 3):
-            assert table.value(-m) == 0.0
+        assert table.values.shape == (6,)  # lags 0..5, no seed zeros before lag 0
 
     def test_lag_one_is_first_ar_coefficient(self, rng):
         model = random_model(rng, p=3, q=0, l=4)
@@ -224,7 +223,7 @@ class TestGreenRecurrence:
         model = PeriodicModel(l=3, p=0, q=0, drift=np.zeros(3), ar=[], ma=[],
                               sigma2=np.ones(3))
         table = green_coefficients(model, 1, 6)
-        assert_allclose(table.nonnegative, [1, 0, 0, 0, 0, 0, 0])
+        assert_allclose(table.values, [1, 0, 0, 0, 0, 0, 0])
 
     def test_constant_model_reduces_to_classical_psi(self, rng):
         # spectral radius kept moderate so the comparison stays well scaled
@@ -254,9 +253,8 @@ def indexed_green_loop(model, t, max_lag):
     """Reference: the scalar recurrence with one table lookup and one index
     subtraction per term (the kernel before it read the list's tail)."""
     p, l = model.p, model.l
-    pad = max(p, 1) - 1
-    out = np.zeros(pad + max_lag + 1)
-    out[pad] = 1.0
+    out = np.zeros(max_lag + 1)
+    out[0] = 1.0
     if p > 0 and max_lag > 0:
         ar_rows = model.ar.tolist()
         g = [0.0] * (max_lag + 1)
@@ -268,7 +266,7 @@ def indexed_green_loop(model, t, max_lag):
             for i in range(1, top + 1):
                 acc += ar_rows[i - 1][(base + i) % l] * g[k - i]
             g[k] = acc
-        out[pad:] = g
+        out[:] = g
     return out
 
 
@@ -349,7 +347,6 @@ class TestSeasonTables:
     @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
     def test_rows_equal_single_anchor_tables(self, rng, l, p, q):
         model = random_model(rng, p=p, q=q, l=l)
-        pad = max(p, 1) - 1
         anchor_sets = [
             None,                   # every season, in order
             [-7],                   # one row, negative time
@@ -360,7 +357,7 @@ class TestSeasonTables:
             for anchors in anchor_sets:
                 times = range(1, l + 1) if anchors is None else anchors
                 got = season_tables(model, max_lag, anchors)
-                assert got.shape == (len(times), pad + max_lag + 1)
+                assert got.shape == (len(times), max_lag + 1)
                 assert not got.flags.writeable
                 # both entry points share one kernel, so each meets the reference
                 for row, t in zip(got, times):
@@ -417,7 +414,7 @@ class TestErrorWeights:
     def test_pure_ar_equals_green_table(self, rng):
         model = random_model(rng, p=2, q=0, l=3)
         table = green_coefficients(model, 4, 7)
-        assert np.array_equal(error_weights(model, 4, 8), table.nonnegative)
+        assert np.array_equal(error_weights(model, 4, 8), table.values)
 
     def test_constant_arma11_psi(self):
         model = PeriodicModel.constant(ar=[0.5], ma=[0.3], l=1)
@@ -442,6 +439,21 @@ class TestKnownInnovationWeights:
                 if lead >= 1:
                     assert np.array_equal(known_innovation_weights(model, t, lead),
                                           naive_known_weights(model, t, lead))
+
+    @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
+    def test_equals_predict_adjustments(self, rng, l, p, q):
+        # independent of the per-weight loop: with the known innovations set to
+        # the unit vector e_idx, predict's adjustment at horizon lead is the
+        # weight on eps_{tau - idx}
+        model = random_model(rng, p=p, q=q, l=l)
+        horizon = q + 3
+        for tau in (-4, 0, 7):
+            for idx in range(q):
+                origin = ForecastOrigin(tau, np.zeros(p), np.eye(q)[idx])
+                got = predict(model, origin, horizon).known_adjustments
+                for lead in range(1, horizon + 1):
+                    want = known_innovation_weights(model, tau + lead, lead)[idx]
+                    assert abs(got[lead - 1] - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_q0_is_empty(self, rng):
         model = random_model(rng, q=0)
@@ -508,13 +520,22 @@ class TestContractEdges:
         with pytest.raises(IndexError):
             table.value(6)
         with pytest.raises(IndexError):
-            table.value(-2)
-        with pytest.raises(IndexError):
-            table.lags(-2, 3)
+            table.value(-1)
 
     def test_negative_max_lag_rejected(self, rng):
         with pytest.raises(ValueError, match="max_lag"):
             green_coefficients(random_model(rng), 0, -1)
+
+    def test_fields_perfbench_reads(self, rng):
+        # perfbench (not in this suite) reads these: spans._kernel_info takes
+        # anchor_season, max_lag and p; workloads.check_table takes max_lag,
+        # values and value
+        model = random_model(rng, p=3, q=1, l=5)
+        table = green_coefficients(model, 7, 9)
+        assert (table.anchor_season, table.max_lag, table.p) == (2, 9, 3)
+        assert table.values.shape == (10,)
+        assert [table.value(k) for k in range(10)] == table.values.tolist()
+        assert table.overflowing is False
 
     @pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0), 30.5], ids=repr)
     @pytest.mark.parametrize("name,call", [

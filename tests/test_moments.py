@@ -45,7 +45,7 @@ def per_season_truncation(model):
         probe = min(probe, 10_000)
         tables = [green_coefficients(model, s, probe) for s in range(1, l + 1)]
         for r in range(l, probe + 1, l):
-            if all(abs(t.value(r)) < 1e-14 * np.max(np.abs(t.nonnegative))
+            if all(abs(t.value(r)) < 1e-14 * np.max(np.abs(t.values))
                    for t in tables):
                 return max(r, 2 * l)
         if probe >= 10_000:
@@ -66,7 +66,7 @@ def per_season_profile(model, max_lag, truncation=None):
     direct = min(max_lag, max(model.p, model.q))
     tables, weights = {}, {}
     for s in range(1, l + 1):
-        tables[s] = green_coefficients(model, s, r_max + direct).nonnegative
+        tables[s] = green_coefficients(model, s, r_max + direct).values
         weights[s] = naive_error_weights(model, s, n + direct)
     means = np.zeros(l)
     autocov = np.zeros((l, direct + 1))
@@ -370,7 +370,7 @@ class TestAutocovariance:
             want = table.value(k) * unconditional_variance(model, model.season(tau), trunc)
             for m in range(1, model.p):
                 acc = 0.0
-                for i in range(1, model.p - m + 1):
+                for i in range(1, min(model.p - m, k) + 1):  # g is 0 below lag 0
                     acc += view.ar(m + i, tau + i) * table.value(k - i)
                 want += acc * autocovariance(model, model.season(tau), m, trunc)
             got = autocovariance(model, s, k, trunc)
@@ -392,7 +392,7 @@ class TestAutocovariance:
             want = table.value(k) * unconditional_variance(model, model.season(tau), trunc)
             for m in range(1, model.p):
                 acc = 0.0
-                for i in range(1, model.p - m + 1):
+                for i in range(1, min(model.p - m, k) + 1):  # g is 0 below lag 0
                     acc += view.ar(m + i, tau + i) * table.value(k - i)
                 want += acc * autocovariance(model, model.season(tau), m, trunc)
             w_err = error_weights(model, tau, model.q)

@@ -54,9 +54,26 @@ class TestPlanContracts:
         with pytest.raises(ValueError, match="df > 2"):
             SimPlan(white_noise(), length=10, dist="student-t")
 
+    @pytest.mark.parametrize("df", [np.inf, np.nan], ids=repr)
+    def test_student_t_needs_finite_df(self, df):
+        # inf and nan pass ``df <= 2`` but make every draw NaN
+        with pytest.raises(ValueError, match="finite df > 2"):
+            SimPlan(white_noise(), length=10, dist="student-t", df=df)
+        with pytest.raises(ValueError, match="finite df > 2"):
+            mc_forecast_experiment(white_noise(), ForecastOrigin(time=0), 2, 10,
+                                   dist="student-t", df=df)
+
     def test_custom_needs_draws(self):
         with pytest.raises(ValueError, match="custom"):
             SimPlan(white_noise(), length=10, dist="custom")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_custom_draws_must_be_finite(self, bad):
+        draws = np.zeros((1, 30))
+        draws[0, 17] = bad
+        plan = SimPlan(white_noise(), length=20, dist="custom", custom=draws)
+        with pytest.raises(ValueError, match="custom draws must be finite"):
+            simulate(plan)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -236,6 +253,16 @@ class TestMcForecastExperiment:
         with pytest.raises(ValueError, match=r"^n_paths must be an integer >= 2, got "):
             mc_forecast_experiment(model, ForecastOrigin(time=0, tail=[1.0]), 2, n_paths=bad)
 
+    def test_overflowing_squared_errors_fail(self):
+        # squared errors near 1e305 overflow in the standard error: se = inf
+        # made z = 0, which read as a pass
+        model = PeriodicModel.constant(ar=[0.5], sigma2=1e305, l=2)
+        with np.errstate(all="raise"):  # only the guarded row arithmetic overflows
+            rows = mc_forecast_experiment(model, ForecastOrigin(time=0, tail=[0.0]), 2,
+                                          n_paths=200)
+        assert [r.std_error for r in rows] == [np.inf, np.inf]
+        assert not any(r.passed for r in rows)
+
     def test_parma11_uses_ma_adjusted_weights(self):
         model = PeriodicModel(l=2, p=1, q=1, drift=np.zeros(2),
                               ar=[[0.5, 0.8]], ma=[[0.4, -0.3]],
@@ -287,7 +314,8 @@ def reference_mc(model, origin, max_horizon, n_paths, seed=0, dist="gaussian",
             horizon=h, bias=float(err.mean()),
             bias_limit=4.0 * float(np.sqrt(theo / n_paths)),
             empirical_mse=emp, theoretical_mse=theo, std_error=se,
-            z_score=float(z), passed=bool(abs(z) <= 3.0)))
+            z_score=float(z),
+            passed=bool(np.isfinite(emp) and np.isfinite(se) and abs(z) <= 3.0)))
     return rows
 
 

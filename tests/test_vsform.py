@@ -189,6 +189,12 @@ class TestXiCrossCheck:
         det = lu_determinant(build_fundamental(model, 6, 6))
         assert_allclose(g, det, rtol=1e-10)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10], ids=repr)
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a nan tolerance made every comparison False, which read as agreement
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            one_period_cross_check(PeriodicModel.constant(ar=[0.7], l=1), tol=tol)
+
     def test_requires_p_at_most_l(self, rng):
         with pytest.raises(ValueError, match="p <= l"):
             one_period_cross_check(random_model(rng, p=3, q=0, l=2))
