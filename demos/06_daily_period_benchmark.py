@@ -5,8 +5,9 @@ Stacking daily data turns one year into a 365-variate vector model, which
 is painful to forecast with.  The univariate recurrence never stacks:
 its cost is linear in the table length regardless of the period, and a
 lag-10,000 table for a 365-season model lands in milliseconds.  The same
-tables give every season's unconditional moments: sums up to lag p, and the
-periodic Yule-Walker recursion for the remaining two years of lags.
+model gives every season's exact unconditional moments from one solve of
+the periodic Lyapunov equation, and the periodic Yule-Walker recursion for
+the remaining two years of lags.
 """
 
 import time
@@ -55,5 +56,4 @@ start = time.perf_counter()
 profile = moment_profile(model)  # default max_lag = 2l = 730
 ms = (time.perf_counter() - start) * 1e3
 print(f"\nmeans, variances and autocovariances at lags 0..{profile.max_lag} "
-      f"for all 365 seasons: {ms:.0f} ms (truncation {profile.truncation}, "
-      f"tail bound {profile.tail_bound:.1e})")
+      f"for all 365 seasons: {ms:.0f} ms (exact, no truncation)")

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", "--max-lag", type=int, default=None,
                    help="highest autocovariance lag (default 2*l)")
     p.add_argument("-R", "--truncation", type=int, default=None,
-                   help="series truncation lag (default: automatic)")
+                   help="series truncation lag (default: exact)")
 
     p = add("stationarity", "stacked-form stationarity verdict and cross-checks")
     p.add_argument("--band", type=float, default=0.02,
@@ -139,8 +139,8 @@ def _cmd_greens(model, args, out):
 def _cmd_forecast(model, args, out):
     if args.horizon < 1:
         raise _UsageError("horizon must be >= 1")
-    if not np.isfinite(args.z):
-        raise _UsageError("z must be finite")
+    if not 0 <= args.z < np.inf:
+        raise _UsageError("z must be finite and >= 0")
     series = load_series(args.series, model)
     innovations = None
     if args.innovations is not None:
@@ -174,8 +174,10 @@ def _cmd_moments(model, args, out):
     out.write(f"# convergence: rho_hat={_fmt(diag.rho_hat)} "
               f"passed={str(diag.passed).lower()} "
               f"probe_lag={diag.probe_lag}\n")
-    out.write(f"# truncation={prof.truncation} "
-              f"tail_bound={_fmt(prof.tail_bound)}\n")
+    if prof.truncation is None:
+        out.write("# truncation=exact tail_bound=0\n")
+    else:
+        out.write(f"# truncation={prof.truncation} tail_bound={_fmt(prof.tail_bound)}\n")
     out.write(",".join(["season", "mean", "variance"]
                        + [f"acov_{k}" for k in range(prof.max_lag + 1)]) + "\n")
     # one printf per row: a daily default-K profile has 268,000 values
@@ -214,6 +216,8 @@ def _cmd_simulate(model, args, out):
         raise _UsageError("length must be >= 1")
     if args.paths < 1:
         raise _UsageError("paths must be >= 1")
+    if args.dist == "student-t" and (args.df is None or not 2 < args.df < np.inf):
+        raise _UsageError(f"student-t innovations need a finite df > 2, got {args.df!r}")
     plan = SimPlan(model, length=args.length, n_paths=args.paths,
                    burn_in=args.burn_in, seed=args.seed, dist=args.dist,
                    df=args.df)

@@ -133,8 +133,10 @@ class ForecastReport:
         """Gaussian-innovation interval ``point +- z * sqrt(mse)`` at horizon h.
 
         Only the first two moments back this band; no stronger
-        distributional claim is made.
+        distributional claim is made.  ``z`` must be finite and ``>= 0``.
         """
+        if not 0.0 <= z < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"z must be finite and >= 0, got {z!r}")
         half = z * float(np.sqrt(self.mses[h - 1]))
         point = float(self.points[h - 1])
         return point - half, point + half

@@ -1,4 +1,5 @@
-"""Unconditional moments via truncated moving-average-infinity sums.
+"""Unconditional moments: exact from the periodic Lyapunov equation, or as
+truncated moving-average-infinity sums.
 
 When the Green weights decay geometrically, the process has a convergent
 MA-infinity form and its first two moments per season are
@@ -14,12 +15,20 @@ companion matrices has spectral radius below one (:func:`check_convergence`).
 That period product, for every anchor season at once, is formed by doubling
 products of periodic matrices (Bittanti & Colaneri, *Periodic Systems*,
 2009) in ``O(log l)`` batched matrix products.  Every moment function
-requires a passing diagnostic and truncates its series where the weights
-have decayed.
+requires a passing diagnostic.
 
-:func:`moment_profile` takes these sums only up to lag ``max(p, q)``.  For
+:func:`moment_profile` computes the sums' limits exactly by default.  It
+writes the process in state-space form and solves the periodic Lyapunov
+equation for the state covariance: the per-season affine maps compose in a
+doubling prefix scan, one ``n^2 x n^2`` solve at one anchor season gives
+the fixed point, and one batched product carries it to every season (the
+route of Lund & Basawa, JTSA 2000, for PARMA moments).  No truncation is
+searched and no Green table is built, so near a unit root, where the
+weights outlast any truncation cap, the profile stays exact.  Given an
+explicit ``truncation`` it takes the truncated sums instead, with a tail
+bound.  Either way only lags up to ``max(p, q)`` come from there: for
 ``k > q`` the MA forcing at ``t`` is uncorrelated with ``y_{t-k}``, so
-beyond ``max(p, q)`` it runs the periodic Yule-Walker recursion
+every later lag comes from the periodic Yule-Walker recursion
 
     gamma(s, k) = sum_{m=1..p} phi_m(s) * gamma(s - m, k - m)
 
@@ -28,8 +37,9 @@ Davis, *Time Series: Theory and Methods*, 1991, section 3.3).  The weights
 obey the same recursion past lag ``q``, so the truncated sums satisfy it
 exactly: a recursion lag equals the truncated sum at the same truncation,
 up to rounding, and the truncation's tail bound covers it too.
-:func:`autocovariance` and :func:`unconditional_variance` keep the sums at
-every lag, as an independent oracle.
+:func:`unconditional_mean`, :func:`unconditional_variance` and
+:func:`autocovariance` keep the truncated sums at every lag, as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -141,6 +151,70 @@ def _decay_rate(model: PeriodicModel, period=None) -> float:
     return float(np.exp((np.log(radius) + exps[-1] * np.log(2.0)) / model.l))
 
 
+def _state_space(model: PeriodicModel) -> tuple[np.ndarray, np.ndarray]:
+    """Transitions ``F_s`` of seasons ``1..l`` and forcing ``G`` of the state
+    ``x_t = (y_t .. y_{t-p'+1}, eps_t .. eps_{t-q+1}, 1)`` with ``p' = max(p, 1)``:
+    ``x_t = F_s x_{t-1} + G eps_t`` for ``t`` in season ``s``, the constant last entry
+    carrying ``drift_s`` into ``y_t``.  Shapes ``(l, n + 1, n + 1)`` and ``(n + 1,)``,
+    with ``n = p' + q``."""
+    p, q = model.p, model.q
+    pp = max(p, 1)
+    n = pp + q
+    trans = np.zeros((model.l, n + 1, n + 1))
+    trans[:, 0, :p] = model.ar.T
+    trans[:, 0, pp:n] = model.ma.T
+    trans[:, 0, n] = model.drift
+    trans[:, n, n] = 1.0
+    shift = np.arange(1, n)
+    shift = shift[shift != pp]  # each lagged entry takes its predecessor; eps_t does not
+    trans[:, shift, shift - 1] = 1.0
+    forcing = np.zeros(n + 1)
+    forcing[0] = 1.0
+    if q:
+        forcing[pp] = 1.0
+    return trans, forcing
+
+
+def _exact_moments(model: PeriodicModel, acov: np.ndarray) -> np.ndarray:
+    """Exact means of seasons ``1..l``, filling the lag-major ``acov[k, s - 1]`` for
+    ``k < len(acov)``, from the fixed point of the periodic Lyapunov equation.
+
+    With ``F_s = [[T_s, d_s], [0, 1]]`` (:func:`_state_space`), the covariance and mean
+    of the stochastic part obey ``P_s = T_s P_{s-1} T_s' + Q_s``, ``Q_s = sigma2_s G G'``,
+    and ``mu_s = T_s mu_{s-1} + d_s``.  These affine maps compose as
+    ``(T1, Q1, d1) o (T2, Q2, d2) = (T1 T2, T1 Q2 T1' + Q1, T1 d2 + d1)``, which is the
+    product of the ``F`` and, with ``Q`` padded by a zero row and column, ``F1 Q2 F1' +
+    Q1``; so a doubling prefix scan forms every season's map from the start of the
+    period in ``ceil(log2 l)`` batched steps.  The last one is the period map
+    ``(Phi, Q, d)`` of the anchor, the last season.  The nonzero eigenvalues of ``Phi``
+    are those of the companion period product, so ``(I - Phi (x) Phi) vec P = vec Q``
+    and ``(I - Phi) mu = d`` have one solution when the weights decay.  Each season's
+    map then carries the anchor's ``(P, mu)`` to that season, and lag ``k >= 1``
+    follows from ``Cov(x_t, y_{t-k}) = F_s Cov(x_{t-1}, y_{t-k})``.  Only
+    ``(l, n + 1, n + 1)`` arrays and one ``n^2 x n^2`` system are built.
+    """
+    trans, forcing = _state_space(model)
+    maps, n = trans.copy(), len(forcing) - 1
+    noise = model.sigma2[:, None, None] * np.outer(forcing, forcing)
+    span = 1
+    while span < model.l:  # maps[i] composes seasons0 max(0, i - 2 span + 1) .. i
+        later = maps[span:]
+        noise[span:] += later @ noise[:-span] @ later.transpose(0, 2, 1)
+        maps[span:] = later @ maps[:-span]
+        span *= 2
+    phi, cov = maps[-1, :n, :n], np.zeros((n + 1, n + 1))
+    kron = (phi[:, None, :, None] * phi[None, :, None, :]).reshape(n * n, n * n)
+    cov[:n, :n] = np.linalg.solve(np.eye(n * n) - kron, noise[-1, :n, :n].ravel()).reshape(n, n)
+    mean = np.append(np.linalg.solve(np.eye(n) - phi, maps[-1, :n, n]), 1.0)
+    col = (maps @ (cov @ maps[:, 0, :, None]))[..., 0] + noise[:, :, 0]  # Cov(x_t, y_t)
+    acov[0] = col[:, 0]
+    previous = np.arange(-1, model.l - 1)  # season0 of s - 1
+    for k in range(1, len(acov)):
+        col = (trans @ col[previous, :, None])[..., 0]  # Cov(x_t, y_{t-k})
+        acov[k] = col[:, 0]
+    return maps[:, 0] @ mean
+
+
 def check_convergence(model: PeriodicModel, probe_lag: int | None = None,
                       margin: float = 0.0) -> ConvergenceDiagnostic:
     """Exact weight-decay rate and second-moment verdict; builds no Green table.
@@ -196,30 +270,26 @@ def default_truncation(model: PeriodicModel) -> int:
     """Smallest multiple of ``l``, at least ``2l``, where every season's weights are
     below 1e-14 of that table's largest; the first probe lag comes from the decay
     rate, and the probe doubles up to 10,000 lags."""
-    return _truncation(model, _decay_rate(model) if model.p else 0.0)[0]
+    return _truncation(model, _decay_rate(model) if model.p else 0.0)
 
 
-def _truncation(model: PeriodicModel, rho: float, extra: int = 0) -> tuple[int, np.ndarray]:
-    """:func:`default_truncation` given the model's decay rate ``rho``, and the
-    :func:`season_tables` stack it read, which runs ``extra`` lags past the probe
-    (so at least to lag ``truncation + extra``)."""
+def _truncation(model: PeriodicModel, rho: float) -> int:
+    """:func:`default_truncation` given the model's decay rate ``rho``."""
     l = model.l
     if model.p == 0:
-        r = max(l, model.q + 1)
-        return r, season_tables(model, r + extra)
+        return max(l, model.q + 1)
     probe = max(8 * l, 64) if rho >= 1.0 else 2 * l
     if 0.0 < rho < 1.0:
         probe = l * max(2, int(np.ceil(np.log(_REL_TAIL) / (l * np.log(rho)))))
     while True:
         probe = min(probe, TRUNCATION_CAP)
-        tables = season_tables(model, probe + extra)
-        g = tables[:, :probe + 1]
+        g = season_tables(model, probe)
         top = np.maximum(np.max(g, axis=1), -np.min(g, axis=1))[:, None]  # max |g|
         decayed = np.all(np.abs(g[:, l::l]) < _REL_TAIL * top, axis=0)
         if decayed.any():
-            return max(l * (int(np.argmax(decayed)) + 1), 2 * l), tables
+            return max(l * (int(np.argmax(decayed)) + 1), 2 * l)
         if probe >= TRUNCATION_CAP:
-            return TRUNCATION_CAP, tables
+            return TRUNCATION_CAP
         probe *= 2
 
 
@@ -229,7 +299,7 @@ def unconditional_mean(model: PeriodicModel, season: int,
     """Mean of the process in a given season (truncated drift series)."""
     _check_int(season, "season", None)
     diag = _require_convergent(model, diagnostic)
-    r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)[0]
+    r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)
     g = green_coefficients(model, season, r_max).values
     return float(np.dot(g, backwards(model.drift, season, r_max + 1)))
 
@@ -253,7 +323,7 @@ def autocovariance(model: PeriodicModel, season: int, lag: int,
     _check_int(season, "season", None)
     _check_int(lag, "lag")
     diag = _require_convergent(model, diagnostic)
-    r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)[0]
+    r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)
     tau = season - lag
     w_t = error_weights(model, season, lag + r_max + 1)
     w_tau = error_weights(model, tau, r_max + 1)
@@ -265,19 +335,22 @@ class MomentProfile:
     """Per-season means, variances and autocovariances up to a maximum lag.
 
     ``autocov[s-1, k]`` is ``Cov(y_t, y_{t-k})`` for ``t`` in season ``s``;
-    lags ``0..max(p, q)`` are truncated sums, later lags come from the
-    periodic Yule-Walker recursion and equal the truncated sums up to
-    rounding.  ``tail_bound`` estimates how far any value, recursion lags
-    included, could still move if the truncation went to infinity: the last
-    block of ``l`` weights continued geometrically at the exact per-period
-    factor ``rho_hat ** l``, the asymptotic rate, which weights of a
-    non-normal product may not yet follow.
+    lags past ``max(p, q)`` come from the periodic Yule-Walker recursion.
+
+    The default profile is exact: the fixed point of the periodic Lyapunov
+    equation, with ``truncation=None`` and ``tail_bound=0.0``.  A profile
+    built at an explicit ``truncation`` holds truncated sums instead, and
+    its ``tail_bound`` estimates how far any value, recursion lags included,
+    could still move if the truncation went to infinity: the last block of
+    ``l`` weights continued geometrically at the exact per-period factor
+    ``rho_hat ** l``, the asymptotic rate, which weights of a non-normal
+    product may not yet follow.
     """
 
     means: np.ndarray
     variances: np.ndarray
     autocov: np.ndarray
-    truncation: int
+    truncation: int | None
     tail_bound: float
     diagnostic: ConvergenceDiagnostic
 
@@ -290,44 +363,17 @@ class MomentProfile:
         return self.autocov.shape[1] - 1
 
 
-def moment_profile(model: PeriodicModel, max_lag: int | None = None,
-                   truncation: int | None = None) -> MomentProfile:
-    """Compute means, variances and autocovariances for every season.
+def _truncated_moments(model: PeriodicModel, r_max: int, diag: ConvergenceDiagnostic,
+                       acov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Means of seasons ``1..l`` and the tail bound of the sums truncated at ``r_max``,
+    filling the lag-major ``acov[k, s - 1]`` for ``k < len(acov)`` with truncated sums.
 
-    One :func:`season_tables` stack feeds the truncation search and every
-    sum.  It runs ``min(max_lag, max(p, q))`` lags past the search's last
-    probe lag (past ``truncation`` when that is given).  The means and each
-    lag ``0..max(p, q)`` take one batched ``matmul`` across the seasons (one
-    BLAS dot per season, the bits of ``np.dot``); each later lag takes one
-    update across all seasons by the periodic Yule-Walker recursion, so the
-    default ``max_lag`` on a daily model costs about twice ``max_lag=2``.
-
-    Parameters
-    ----------
-    max_lag : int, optional
-        Highest autocovariance lag, an integer >= 0 (default ``2l``).
-    truncation : int, optional
-        Series truncation lag, an integer >= ``l`` (default per
-        :func:`default_truncation`); the tail bound extrapolates from the
-        last full period of weights, so a shorter truncation has none.
+    One :func:`season_tables` stack runs ``len(acov) - 1`` lags past ``r_max``.  The
+    means and each lag take one batched ``matmul`` across the seasons (one BLAS dot
+    per season, the bits of ``np.dot``).
     """
-    l, p = model.l, model.p
-    if max_lag is not None:
-        _check_int(max_lag, "max_lag")
-    if truncation is not None and not _is_int(truncation):
-        raise ValueError(f"truncation must be an integer, got {truncation!r}")
-    if truncation is not None and truncation < l:
-        raise ValueError(f"truncation must be >= l = {l}, got {truncation}")
-    if max_lag is None:
-        max_lag = 2 * l
-    diag = _require_convergent(model, None)
-    direct = min(max_lag, max(p, model.q))  # lags taken as sums
-    if truncation is None:
-        r_max, tables = _truncation(model, diag.rho_hat, direct)
-    else:
-        r_max, tables = truncation, season_tables(model, truncation + direct)
-
-    n = r_max + 1
+    l, n, direct = model.l, r_max + 1, len(acov) - 1
+    tables = season_tables(model, r_max + direct)
     g = tables[:, :n]
     weights = _season_weights(model, tables)
     # backwards(v, s - k, n) is the window v_ext[l - s + k:][:n] of one reversed
@@ -343,19 +389,12 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     drift, sigma2 = windows(model.drift), windows(model.sigma2)
     # (l, 1, n) @ (l, n, 1) runs one BLAS dot per season, as np.dot does
     means = (g[:, None, :] @ drift[:, :n])[:, 0, 0]
-    acov = np.zeros((max_lag + 1, l))  # lag-major: acov[k, s - 1]
     step = max(1, (1 << 14) // n)  # seasons per weight-product block of about 128 KB
     for k in range(direct + 1):
         for b in range(0, l, step):
             block = weights[(np.arange(b, min(b + step, l)) - k) % l, :n]
             np.multiply(weights[b:b + step, k:k + n], block, out=block)
             acov[k, b:b + step] = (block[:, None, :] @ sigma2[b:b + step, k:k + n])[:, 0, 0]
-    back = np.arange(1, p + 1)[:, None]
-    earlier = (np.arange(l) - back) % l  # season0 of s - m
-    for k in range(direct + 1, max_lag + 1):
-        acov[k] = np.sum(model.ar * acov[k - back, earlier], axis=0)
-    autocov = acov.T.copy()
-    variances = acov[0].copy()
 
     # envelope tail bound: one more block of l lags scaled by the geometric
     # block ratio q/(1-q), q = rho_hat**l; covers means (linear in g) and
@@ -365,5 +404,58 @@ def moment_profile(model: PeriodicModel, max_lag: int | None = None,
     var_tail = np.max(np.sum(weights[:, n - l:n] ** 2, axis=1)) * np.max(model.sigma2)
     bound = float(max(mean_tail * q_blk / (1.0 - q_blk),
                       var_tail * q_blk ** 2 / (1.0 - q_blk ** 2)))
-    return MomentProfile(means=means, variances=variances, autocov=autocov,
-                         truncation=r_max, tail_bound=bound, diagnostic=diag)
+    return means, bound
+
+
+def moment_profile(model: PeriodicModel, max_lag: int | None = None,
+                   truncation: int | None = None) -> MomentProfile:
+    """Compute means, variances and autocovariances for every season.
+
+    By default the means and lags ``0..max(p, q)`` are exact, from one
+    solve of the periodic Lyapunov equation (:func:`_exact_moments`); with
+    ``truncation`` they are the truncated sums of one :func:`season_tables`
+    stack.  Each later lag takes one update across all seasons by the
+    periodic Yule-Walker recursion, on either route, so the default
+    ``max_lag`` on a daily model costs a few times ``max_lag=2``.
+
+    Parameters
+    ----------
+    max_lag : int, optional
+        Highest autocovariance lag, an integer >= 0 (default ``2l``).
+    truncation : int, optional
+        Series truncation lag, an integer >= ``l``; the tail bound
+        extrapolates from the last full period of weights, so a shorter
+        truncation has none.  Default: none, the exact profile.
+    """
+    l, p = model.l, model.p
+    if max_lag is not None:
+        _check_int(max_lag, "max_lag")
+    if truncation is not None and not _is_int(truncation):
+        raise ValueError(f"truncation must be an integer, got {truncation!r}")
+    if truncation is not None and truncation < l:
+        raise ValueError(f"truncation must be >= l = {l}, got {truncation}")
+    if max_lag is None:
+        max_lag = 2 * l
+    diag = _require_convergent(model, None)
+    # lag-major: acov[k, s - 1], after p columns that wrap the row around, so that
+    # work[k, p - m + s0] = acov[k, (s0 - m) % l] for every m <= p
+    work = np.zeros((max_lag + 1, p + l))
+    acov = work[:, p:]
+    direct = acov[:min(max_lag, max(p, model.q)) + 1]  # the lags not from the recursion
+    if truncation is None:
+        means, bound = _exact_moments(model, direct), 0.0
+    else:
+        means, bound = _truncated_moments(model, truncation, diag, direct)
+    if p:  # periodic Yule-Walker: gamma(s, k) = sum_m phi_m(s) gamma(s - m, k - m)
+        wrap, start = np.arange(-p, 0) % l, len(direct)
+        work[:start, :p] = direct[:, wrap]
+        # earlier[k - start][m - 1, s0] = acov[k - m, (s0 - m) % l]: one strided view
+        row, item = work.strides
+        earlier = np.lib.stride_tricks.as_strided(
+            work[start - 1, p - 1:], (max_lag + 1 - start, p, l), (row, -row - item, item),
+            writeable=False)
+        for k, gammas in enumerate(earlier, start=start):
+            np.add.reduce(model.ar * gammas, axis=0, out=acov[k])  # np.sum's bits
+            work[k, :p] = acov[k, wrap]
+    return MomentProfile(means=means, variances=acov[0].copy(), autocov=acov.T.copy(),
+                         truncation=truncation, tail_bound=bound, diagnostic=diag)

@@ -129,7 +129,10 @@ class StationarityVerdict:
 
 
 def stationarity(vs: VSForm, boundary_band: float = BOUNDARY_BAND) -> StationarityVerdict:
-    """Decide stationarity from the companion-matrix spectrum."""
+    """Decide stationarity from the companion-matrix spectrum; ``boundary_band``
+    must be finite and ``>= 0``."""
+    if not 0.0 <= boundary_band < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"boundary_band must be finite and >= 0, got {boundary_band!r}")
     comp = companion_matrix(vs)
     radius = 0.0 if comp.size == 0 else float(np.max(np.abs(np.linalg.eigvals(comp))))
     model = vs.model

@@ -248,11 +248,27 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and f"{flag.lstrip('-')} must be finite" in err
 
-    def test_non_finite_student_t_df_is_1(self, capsys):
-        code, out, err = run(capsys, "simulate", f"{FIXTURES}/par12.yaml", "-n", "3",
-                             "--dist", "student-t", "--df", "inf")
-        assert code == 1
-        assert out == "" and "finite df > 2" in err
+    def test_bad_student_t_df_is_2(self, capsys):
+        # inf and nan pass ``df <= 2`` but make every draw NaN
+        for df in (["--df", "2"], ["--df", "1.5"], ["--df=inf"], ["--df=nan"], []):
+            code, out, err = run(capsys, "simulate", f"{FIXTURES}/par12.yaml", "-n", "3",
+                                 "--dist", "student-t", *df)
+            assert code == 2, df
+            assert out == "" and err.startswith("usage error:") and "finite df > 2" in err
+
+    def test_negative_z_is_2(self, capsys):
+        code, out, err = run(capsys, "forecast", f"{FIXTURES}/par12.yaml",
+                             "--series", f"{FIXTURES}/series12.csv", "-z", "-1")
+        assert code == 2
+        assert out == "" and "z must be finite and >= 0" in err
+
+    def test_zero_z_is_a_point_band(self, capsys):
+        code, out, _ = run(capsys, "forecast", f"{FIXTURES}/par12.yaml",
+                           "--series", f"{FIXTURES}/series12.csv", "-H", "2", "-z", "0")
+        assert code == 0
+        for row in out.splitlines()[2:]:
+            _, _, point, _, lo, hi = row.split(",")
+            assert lo == point == hi
 
     def test_bad_bench_orders_is_2(self, capsys):
         code, _, err = run(capsys, "bench", f"{FIXTURES}/par12.yaml",

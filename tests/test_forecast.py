@@ -237,6 +237,14 @@ class TestIntervals:
         half = 1.96 * np.sqrt(1.25)
         assert_allclose([lo, hi], [mid - half, mid + half], rtol=1e-12)
 
+    @pytest.mark.parametrize("z", [-1.0, -1e-300, np.nan, np.inf, -np.inf], ids=repr)
+    def test_negative_or_non_finite_z_rejected(self, z):
+        model = PeriodicModel.constant(ar=[0.5], l=1)
+        report = predict(model, ForecastOrigin(time=0, tail=[1.0]), 2)
+        with pytest.raises(ValueError, match="z must be finite and >= 0"):
+            report.interval(1, z)
+        assert report.interval(1, 0.0) == (0.5, 0.5)
+
 
 def per_horizon_forecast(model, origin, max_horizon):
     """Reference: one Green table per target season and a per-horizon loop.

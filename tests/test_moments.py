@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from parma import (
     unconditional_mean,
     unconditional_variance,
 )
+from parma import moments
 from parma.greens import error_weights
 from parma.vsform import build_vsform, stationarity
 
@@ -209,7 +211,10 @@ class TestCheckConvergence:
         model = daily_model()
         diag = check_convergence(model)
         assert diag.passed and 0.5 < diag.rho_hat < 0.9
-        prof = moment_profile(model, max_lag=2)
+        exact = moment_profile(model, max_lag=2)
+        assert np.all(np.isfinite(exact.autocov)) and np.all(np.isfinite(exact.means))
+        assert exact.truncation is None and exact.tail_bound == 0.0
+        prof = moment_profile(model, max_lag=2, truncation=default_truncation(model))
         assert np.all(np.isfinite(prof.autocov)) and np.all(np.isfinite(prof.means))
         assert 0.0 < prof.tail_bound < 1e-12
 
@@ -413,7 +418,7 @@ class TestAutocovariance:
 class TestMomentProfile:
     def test_profile_matches_scalar_functions(self):
         model = par12(sigma2=(1.0, 2.0))
-        prof = moment_profile(model, max_lag=4)
+        prof = moment_profile(model, max_lag=4, truncation=default_truncation(model))
         for s in (1, 2):
             assert_allclose(prof.means[s - 1],
                             unconditional_mean(model, s, prof.truncation))
@@ -492,7 +497,7 @@ class TestProfileAgainstReference:
         model = random_stationary_model(np.random.default_rng(l * 100 + p * 10 + q),
                                         l=l, p=p, q=q, coef_scale=scale)
         truncation = 2 * l + 3 if explicit else None
-        prof = moment_profile(model, truncation=truncation)
+        prof = moment_profile(model, truncation=truncation or default_truncation(model))
         means, autocov, r_max, bound = per_season_profile(model, 2 * l, truncation)
         direct = autocov.shape[1]
         assert prof.truncation == r_max
@@ -510,7 +515,7 @@ class TestProfileAgainstReference:
         model = random_stationary_model(np.random.default_rng(l * 100 + p * 10 + q),
                                         l=l, p=p, q=q, coef_scale=scale)
         max_lag = 2 * l + max(p, q) + 2
-        prof = moment_profile(model, max_lag=max_lag)
+        prof = moment_profile(model, max_lag=max_lag, truncation=default_truncation(model))
         var = prof.variances
         for s in range(1, l + 1, 1 if l < 13 else 7):  # 8 of 52 seasons: the oracle is slow
             for k in range(max(p, q) + 1, max_lag + 1):
@@ -520,7 +525,7 @@ class TestProfileAgainstReference:
 
     def test_daily_recursion_lags_match_the_scalar_sums(self):
         model = daily_model()
-        prof = moment_profile(model)
+        prof = moment_profile(model, truncation=default_truncation(model))
         var = prof.variances
         for s in (1, 2, 183, 365):
             for k in (5, 6, 7, 100, 364, 365, 366, 730):
@@ -533,6 +538,109 @@ class TestProfileAgainstReference:
         prof = moment_profile(model, max_lag=9)
         assert np.all(prof.autocov[:, 3:] == 0.0)
         assert np.all(prof.autocov[:, 1] != 0.0)
+
+
+def assert_matches_the_oracles(model, seasons, lags):
+    """The exact profile against the scalar truncated sums at the default truncation:
+    means within 1e-13 of the largest |mean|, each autocovariance within 1e-13 of
+    ``sqrt(var(s) var(s - k))``; the sums' own tail is below 1e-14 of their scale."""
+    prof = moment_profile(model, max_lag=max(lags))
+    r_max = default_truncation(model)
+    var, top = prof.variances, np.max(np.abs(prof.means))
+    for s in seasons:
+        assert abs(prof.means[s - 1] - unconditional_mean(model, s, r_max)) <= 1e-13 * top, s
+        for k in lags:
+            want = autocovariance(model, s, k, r_max)
+            tol = 1e-13 * np.sqrt(var[s - 1] * var[(s - 1 - k) % model.l])
+            assert abs(prof.autocov[s - 1, k] - want) <= tol, (s, k)
+
+
+def ar1(phi, l=12):
+    return PeriodicModel.constant(ar=[phi], l=l)
+
+
+class TestExactProfile:
+    """The default profile: the fixed point of the periodic Lyapunov equation."""
+
+    @pytest.mark.parametrize("shape", PROFILE_SHAPES, ids=lambda s: "l%d-p%d-q%d" % s[:3])
+    def test_matches_the_truncated_oracle(self, shape):
+        l, p, q, scale = shape
+        model = random_stationary_model(np.random.default_rng(l * 100 + p * 10 + q),
+                                        l=l, p=p, q=q, coef_scale=scale)
+        seasons = range(1, l + 1, 1 if l < 13 else 7)  # 8 of 52 seasons: the oracle is slow
+        assert_matches_the_oracles(model, seasons, range(2 * l + max(p, q) + 3))
+
+    def test_daily_matches_the_truncated_oracle(self):
+        assert_matches_the_oracles(daily_model(), (1, 2, 183, 365),
+                                   (0, 1, 2, 3, 5, 100, 364, 365, 730))
+
+    def test_reports_exact(self):
+        prof = moment_profile(par12(), max_lag=3)
+        assert prof.truncation is None and prof.tail_bound == 0.0
+        assert prof.autocov.shape == (2, 4) and prof.autocov.flags.c_contiguous
+        assert same_bits(np.ascontiguousarray(prof.autocov[:, 0]), prof.variances)
+
+    def test_par12_closed_forms(self):
+        # m1 = 1 + 0.5 m2, m2 = 1 + 0.8 m1; v1 = 1 + 0.25 v2, v2 = 1 + 0.64 v1;
+        # gamma(s, 1) = phi_s * variance(previous season)
+        prof = moment_profile(par12(), max_lag=1)
+        assert_allclose(prof.means, [2.5, 3.0], rtol=1e-12)
+        assert_allclose(prof.variances, [125.0 / 84.0, 41.0 / 21.0], rtol=1e-12)
+        assert_allclose(prof.autocov[:, 1], [0.5 * 41.0 / 21.0, 0.8 * 125.0 / 84.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.999, 0.9995, 0.9999])
+    def test_near_unit_root_ar1(self, phi):
+        # the weights need about 80,000 lags to fall below 1e-14 at phi = 0.9999, past
+        # the 10,000-lag cap of the truncated sums; the fixed point needs none
+        prof = moment_profile(ar1(phi), max_lag=3)
+        var = 1.0 / (1.0 - phi ** 2)
+        assert_allclose(prof.variances, var, rtol=1e-10)
+        for k in range(4):
+            assert_allclose(prof.autocov[:, k], phi ** k * var, rtol=1e-10)
+
+    def test_pure_noise_is_drift_and_sigma2(self):
+        model = PeriodicModel(l=3, p=0, q=0, drift=[1.0, -2.0, 0.5], ar=[], ma=[],
+                              sigma2=[1.0, 4.0, 0.25])
+        prof = moment_profile(model, max_lag=4)
+        assert np.all(prof.means == model.drift) and np.all(prof.variances == model.sigma2)
+        assert np.all(prof.autocov[:, 1:] == 0.0)
+
+    def test_explosive_raises_first(self):
+        with pytest.raises(NotConvergentError, match="rho_hat"):
+            moment_profile(par14(1.2 ** 0.25), max_lag=2)
+
+    def test_memory_stays_at_season_matrices(self):
+        # n = p + q = 12: one batched (l, n^2, n^2) system alone takes
+        # 365 * 144 * 144 * 8 bytes = 60.5 MB; the scan keeps (l, n + 1, n + 1) arrays
+        rng = np.random.default_rng(8)
+        l = 365
+        ar = rng.uniform(-0.03, 0.03, (8, l))
+        ar[0] = 0.6 + 0.1 * np.sin(2 * np.pi * np.arange(l) / l)
+        model = PeriodicModel(l=l, p=8, q=4, drift=rng.uniform(-1, 1, l), ar=ar,
+                              ma=rng.uniform(-0.5, 0.5, (4, l)), sigma2=rng.uniform(0.5, 2.0, l))
+        tracemalloc.start()
+        try:
+            prof = moment_profile(model, max_lag=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(prof.variances > 0.0)
+        assert peak < 10e6
+
+    def test_oracles_and_vsform_do_not_use_the_exact_route(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the exact route was called")
+
+        monkeypatch.setattr(moments, "_exact_moments", forbidden)
+        model = par12()
+        unconditional_mean(model, 1)
+        unconditional_variance(model, 2)
+        autocovariance(model, 1, 3)
+        default_truncation(model)
+        stationarity(build_vsform(model))
+        moment_profile(model, max_lag=2, truncation=40)
+        with pytest.raises(AssertionError, match="exact route"):
+            moment_profile(model, max_lag=2)
 
 
 class TestProfileArguments:

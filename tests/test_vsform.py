@@ -121,6 +121,13 @@ class TestStationarity:
         verdict = stationarity(build_vsform(par14([1.0, 1.0, 1.0, 1.001])))
         assert verdict.indeterminate
 
+    @pytest.mark.parametrize("band", [np.nan, -0.01, np.inf, -np.inf], ids=repr)
+    def test_bad_boundary_band_rejected(self, band):
+        vs = build_vsform(par14([1.0, 1.0, 1.0, 1.001]))
+        with pytest.raises(ValueError, match="boundary_band must be finite and >= 0"):
+            stationarity(vs, boundary_band=band)
+        assert not stationarity(vs, boundary_band=0.0).indeterminate
+
     def test_higher_order_companion(self, rng):
         # p > l exercises the block-companion construction
         model = random_model(rng, p=5, q=0, l=2, coef_scale=0.3)
