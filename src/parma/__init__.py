@@ -1,12 +1,13 @@
 """Periodic ARMA analysis and forecasting via time-varying Green functions."""
 
 from .model import (
-    CoefficientView,
+    NON_FINITE_COEFFICIENT,
+    NON_POSITIVE_VARIANCE,
+    SHAPE_MISMATCH,
     ModelValidationError,
     PeriodicModel,
     SeasonClock,
     Violation,
-    is_constant,
     validate,
     violations,
 )
@@ -16,7 +17,6 @@ from .greens import (
     build_fundamental,
     error_weights,
     green_coefficients,
-    known_innovation_weights,
     laplace_determinant,
     lu_determinant,
     season_tables,

@@ -21,14 +21,9 @@ array (:func:`season_tables`), so a row has the single table's bits.  A
 daily model (l = 365, p = 4) takes 6-9 ms for one table to lag 10,000 and
 6-11 ms for all 365 to lag 365 (2-core 2.1 GHz Xeon VM).
 
-For PARMA models two derived weight sequences appear:
-
-* ``error_weights`` -- weights of the post-origin innovations in the
-  forecast error, equal to the moving-average-infinity (psi) weights;
-* ``known_innovation_weights`` -- weights multiplying the ``q`` pre-origin
-  innovations in the optimal predictor, for one target and lead.  ``predict``
-  does not call it: it adds the MA terms that read those innovations to the
-  forcing at ``tau+1 .. tau+q``, which the Green table then weights.
+For PARMA models ``error_weights`` derives the weights of the post-origin
+innovations in the forecast error, equal to the moving-average-infinity (psi)
+weights.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ __all__ = [
     "green_coefficients",
     "season_tables",
     "error_weights",
-    "known_innovation_weights",
     "build_fundamental",
     "laplace_determinant",
     "lu_determinant",
@@ -208,24 +202,6 @@ def error_weights(model: PeriodicModel, t: int, horizon: int) -> np.ndarray:
     _check_int(horizon, "horizon", 1)
     table = green_coefficients(model, t, horizon - 1)
     return _season_weights(model, table.values[None], [t])[0]
-
-
-def known_innovation_weights(model: PeriodicModel, t: int, lead: int) -> np.ndarray:
-    """Predictor weights on the ``q`` innovations known at the forecast origin.
-
-    For an origin ``lead`` steps before ``t``, the optimal predictor adds
-    ``sum_r w[r] * eps_{t-r}`` over ``r = lead .. lead+q-1``; this returns
-    the ``w`` sequence (empty for ``q = 0``, which is a documented result,
-    not an error).
-    """
-    _check_int(lead, "lead", 1)
-    g = green_coefficients(model, t, lead - 1).values
-    out = np.zeros(model.q)
-    for idx in range(model.q):  # the weight on eps_{t-lead-idx}
-        for j in range(idx + 1, min(model.q, lead + idx) + 1):  # lags lead + idx - j >= 0
-            lag = lead + idx - j
-            out[idx] += g[lag] * model.ma[j - 1, (t - 1 - lag) % model.l]
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 A PARMA(p, q; l) process has AR, MA, drift and innovation-variance
 parameters that depend on the season ``s`` in ``1..l`` and repeat every
-``l`` time steps.  Absolute time ``t`` and the pair ``(period, season)``
-are related by ``t = period * l + season`` with ``season`` in ``1..l``;
-:class:`SeasonClock` owns that bijection.  Seasons are 1-based in every
-public signature; the 0-based column index into the coefficient tables is
-an implementation detail confined to this module.
+``l`` time steps.  Absolute time ``t`` falls in season
+``(t - 1) % l + 1``, so ``t = period * l + season`` with ``season`` in
+``1..l``; :class:`SeasonClock` reads that season off.  Seasons are 1-based
+in every public signature; the coefficient arrays are season-indexed by the
+0-based column ``(t - 1) % l``.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ import numpy as np
 __all__ = [
     "SeasonClock",
     "PeriodicModel",
-    "CoefficientView",
     "Violation",
     "ModelValidationError",
     "violations",
     "validate",
-    "is_constant",
     "NON_POSITIVE_VARIANCE",
     "SHAPE_MISMATCH",
     "NON_FINITE_COEFFICIENT",
@@ -55,12 +53,11 @@ class ModelValidationError(ValueError):
 
 @dataclass(frozen=True)
 class SeasonClock:
-    """Bijection between absolute time and (period, season) for period length ``l``.
+    """Season of absolute time for period length ``l``.
 
-    ``decompose(t) = (T, s)`` is the unique pair with ``t = T*l + s`` and
-    ``1 <= s <= l``; it uses floor-style division so the season stays in
-    range for negative ``t`` as well.  Times ``t`` and ``t + l`` always
-    share a season.
+    The season ``s`` of ``t`` is the one in ``1..l`` with ``t = T*l + s`` for
+    an integer period ``T``; floor-style division keeps it in range for
+    negative ``t`` as well.  Times ``t`` and ``t + l`` always share a season.
     """
 
     l: int
@@ -68,17 +65,6 @@ class SeasonClock:
     def __post_init__(self) -> None:
         if not isinstance(self.l, (int, np.integer)) or self.l < 1:
             raise ValueError(f"period length must be an integer >= 1, got {self.l!r}")
-
-    def decompose(self, t: int) -> tuple[int, int]:
-        """Split ``t`` into ``(period, season)`` with season in ``1..l``."""
-        s = (t - 1) % self.l + 1
-        return (t - s) // self.l, s
-
-    def compose(self, period: int, season: int) -> int:
-        """Inverse of :meth:`decompose`."""
-        if not 1 <= season <= self.l:
-            raise ValueError(f"season must be in 1..{self.l}, got {season}")
-        return period * self.l + season
 
     def season(self, t: int) -> int:
         """Season (1-based) of absolute time ``t``."""
@@ -186,37 +172,6 @@ class PeriodicModel:
     def season(self, t: int) -> int:
         return self.clock.season(t)
 
-    def view(self) -> "CoefficientView":
-        return CoefficientView(self)
-
-
-@dataclass(frozen=True)
-class CoefficientView:
-    """Time-indexed accessors over the season-indexed coefficient tables.
-
-    All accessors satisfy ``coef(t) == coef(t - n*l)`` for every integer
-    ``n``.  Lag indices outside ``1..p`` (or ``1..q``) are contract
-    violations and raise ``IndexError`` rather than returning zero.
-    """
-
-    model: PeriodicModel
-
-    def ar(self, m: int, t: int) -> float:
-        if not 1 <= m <= self.model.p:
-            raise IndexError(f"AR lag {m} outside 1..{self.model.p}")
-        return float(self.model.ar[m - 1, self.model.clock.season0(t)])
-
-    def ma(self, j: int, t: int) -> float:
-        if not 1 <= j <= self.model.q:
-            raise IndexError(f"MA lag {j} outside 1..{self.model.q}")
-        return float(self.model.ma[j - 1, self.model.clock.season0(t)])
-
-    def drift(self, t: int) -> float:
-        return float(self.model.drift[self.model.clock.season0(t)])
-
-    def sigma2(self, t: int) -> float:
-        return float(self.model.sigma2[self.model.clock.season0(t)])
-
 
 def violations(model: PeriodicModel) -> list[Violation]:
     """Collect every invariant violation of ``model`` (empty list if valid)."""
@@ -275,14 +230,3 @@ def validate(model: PeriodicModel) -> PeriodicModel:
         raise ModelValidationError(found)
     return model
 
-
-def is_constant(model: PeriodicModel) -> bool:
-    """True when every coefficient row is identical across seasons.
-
-    A model with ``l == 1`` is vacuously constant.
-    """
-    for name in ("drift", "ar", "ma", "sigma2"):
-        arr = np.atleast_2d(getattr(model, name))
-        if arr.size and not np.all(arr == arr[..., :1]):
-            return False
-    return True

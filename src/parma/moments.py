@@ -39,7 +39,9 @@ exactly: a recursion lag equals the truncated sum at the same truncation,
 up to rounding, and the truncation's tail bound covers it too.
 :func:`unconditional_mean`, :func:`unconditional_variance` and
 :func:`autocovariance` keep the truncated sums at every lag, as an
-independent oracle.
+independent oracle; at the default truncation they raise
+:class:`NotConvergentError` where the search stops at ``TRUNCATION_CAP``
+before the weights decay.
 """
 
 from __future__ import annotations
@@ -273,8 +275,9 @@ def default_truncation(model: PeriodicModel) -> int:
     return _truncation(model, _decay_rate(model) if model.p else 0.0)
 
 
-def _truncation(model: PeriodicModel, rho: float) -> int:
-    """:func:`default_truncation` given the model's decay rate ``rho``."""
+def _truncation(model: PeriodicModel, rho: float, strict: bool = False) -> int:
+    """:func:`default_truncation` given the model's decay rate ``rho``; ``strict``
+    raises :class:`NotConvergentError` where it would stop at the cap undecayed."""
     l = model.l
     if model.p == 0:
         return max(l, model.q + 1)
@@ -289,6 +292,11 @@ def _truncation(model: PeriodicModel, rho: float) -> int:
         if decayed.any():
             return max(l * (int(np.argmax(decayed)) + 1), 2 * l)
         if probe >= TRUNCATION_CAP:
+            if strict:
+                raise NotConvergentError(
+                    f"weights have not decayed below {_REL_TAIL:g} of their largest by the "
+                    f"truncation cap {TRUNCATION_CAP} (rho_hat={rho:.6g}); use moment_profile "
+                    "for exact moments, or pass an explicit truncation")
             return TRUNCATION_CAP
         probe *= 2
 
@@ -299,7 +307,8 @@ def unconditional_mean(model: PeriodicModel, season: int,
     """Mean of the process in a given season (truncated drift series)."""
     _check_int(season, "season", None)
     diag = _require_convergent(model, diagnostic)
-    r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)
+    r_max = (truncation if truncation is not None
+             else _truncation(model, diag.rho_hat, strict=True))
     g = green_coefficients(model, season, r_max).values
     return float(np.dot(g, backwards(model.drift, season, r_max + 1)))
 
@@ -323,7 +332,8 @@ def autocovariance(model: PeriodicModel, season: int, lag: int,
     _check_int(season, "season", None)
     _check_int(lag, "lag")
     diag = _require_convergent(model, diagnostic)
-    r_max = truncation if truncation is not None else _truncation(model, diag.rho_hat)
+    r_max = (truncation if truncation is not None
+             else _truncation(model, diag.rho_hat, strict=True))
     tau = season - lag
     w_t = error_weights(model, season, lag + r_max + 1)
     w_tau = error_weights(model, tau, r_max + 1)

@@ -58,7 +58,9 @@ class SimPlan:
     burn_in : int, optional
         Pre-sample steps discarded before the kept window.  Defaults to a
         length at which the initial state has decayed below 1e-10 (at
-        least ten periods) for stationary models and to zero otherwise.
+        least ten periods) for stationary models and to zero otherwise;
+        a stationary model that would need more than 1000 periods raises
+        ``ValueError`` at simulation time and must pass ``burn_in``.
         Stationary models require at least ten periods; models failing
         the convergence diagnostic must use zero.
     seed : int
@@ -179,7 +181,11 @@ def _resolve_burn_in(plan: SimPlan) -> int:
         if 0.0 < diag.rho_hat < 1.0:
             need = int(np.ceil(np.log(1e-10) / np.log(diag.rho_hat)))
             burn = max(burn, need + (-need) % l)
-        return min(burn, 1000 * l)
+        if burn > 1000 * l:
+            raise ValueError(
+                f"the initial state needs {burn} burn-in steps to decay below 1e-10, "
+                f"more than the default's cap of 1000*l = {1000 * l}; pass burn_in")
+        return burn
     if plan.burn_in not in (None, 0):
         raise ValueError(
             "models failing the convergence diagnostic are simulated "

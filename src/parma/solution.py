@@ -129,11 +129,10 @@ def general_solution(inp: SolutionInput) -> SolutionDecomposition:
         hom = sum((g[inp.steps - i] * ar[i - 1]
                    for i in range(1, min(model.p, inp.steps) + 1)), 0.0)
 
-    view = model.view()
     par_drift = 0.0
     par_noise = 0.0
     for r in range(inp.steps):
-        par_drift += g[r] * view.drift(t - r)
+        par_drift += g[r] * model.drift[(t - r - 1) % model.l]
         par_noise += g[r] * _forcing(inp, t - r)
     return SolutionDecomposition(hom=hom, par_drift=par_drift,
                                  par_noise=par_noise)
@@ -145,12 +144,12 @@ def direct_recursion(inp: SolutionInput) -> float:
     p = model.p
     # state[m] = y_{u-1-m} while computing time u
     state = list(inp.initial)
-    view = model.view()
     y = inp.initial[0] if p else 0.0
     for u in range(inp.origin + 1, inp.origin + inp.steps + 1):
-        y = view.drift(u) + _forcing(inp, u)
+        s0 = (u - 1) % model.l
+        y = model.drift[s0] + _forcing(inp, u)
         for m in range(1, p + 1):
-            y += view.ar(m, u) * state[m - 1]
+            y += model.ar[m - 1, s0] * state[m - 1]
         if p:
             state = [y] + state[:-1]
     return float(y)

@@ -76,7 +76,8 @@ def naive_error_weights(model, t, horizon) -> np.ndarray:
 
 
 def naive_known_weights(model, t, lead) -> np.ndarray:
-    """Per-weight loop: the reference for ``known_innovation_weights``."""
+    """Per-weight loop: the weights on the ``q`` innovations known ``lead`` steps
+    before ``t``, on ``eps_{t-lead}, ..., eps_{t-lead-q+1}``, in ``y_t``'s predictor."""
     from parma import green_coefficients
 
     g = green_coefficients(model, t, lead - 1).values

@@ -172,7 +172,7 @@ class TestMseProfile:
         model = random_model(rng, l=3)
         tau = 2
         prof = mse_profile(model, tau, 1)
-        assert_allclose(prof, [model.view().sigma2(tau + 1)])
+        assert_allclose(prof, [model.sigma2[tau % model.l]])
 
     def test_constant_arma11(self):
         model = PeriodicModel.constant(ar=[0.5], ma=[0.3], l=1)
@@ -256,7 +256,6 @@ def per_horizon_forecast(model, origin, max_horizon):
     the homogeneous double sum plus the known-innovation weights.
     """
     tau, l, p = origin.time, model.l, model.p
-    view = model.view()
     known = origin.innovations if model.q else ()
 
     def term(coefs, past, i):  # the forcing at tau + i that reads past[0], past[1], ...
@@ -279,7 +278,7 @@ def per_horizon_forecast(model, origin, max_horizon):
         forcing = []
         for r in range(h):
             i = h - r  # the forcing at t - r = tau + i
-            f = view.drift(tau + i)
+            f = model.drift[(tau + i - 1) % l]
             if i <= p:
                 f += term(model.ar, origin.tail, i)
             if i <= model.q:
@@ -296,7 +295,7 @@ def per_horizon_forecast(model, origin, max_horizon):
             for m in range(1, p):
                 acc = 0.0
                 for i in range(1, min(p - m, h) + 1):  # g is 0 below lag 0
-                    acc += view.ar(m + i, tau + i) * table.value(h - i)
+                    acc += model.ar[m + i - 1, (tau + i - 1) % l] * table.value(h - i)
                 old += acc * origin.tail[m]
         if model.q:
             old += float(np.dot(naive_known_weights(model, t, h), origin.innovations))

@@ -16,7 +16,6 @@ from parma import (
     error_weights,
     general_solution,
     green_coefficients,
-    known_innovation_weights,
     laplace_determinant,
     lu_determinant,
     mse_profile,
@@ -83,16 +82,16 @@ class TestFundamentalMatrix:
             assert np.all(np.diag(f, off) == 0.0)
         for off in range(-2, -6, -1):
             assert np.all(np.diag(f, off) == 0.0)
-        view = model.view()
-        assert f[3, 3] == view.ar(1, 5 - 6 + 4)
-        assert f[3, 2] == view.ar(2, 5 - 6 + 4)
+        s0 = (5 - 6 + 4 - 1) % model.l
+        assert f[3, 3] == model.ar[0, s0]
+        assert f[3, 2] == model.ar[1, s0]
 
     def test_p3_order2_truncates_band(self, rng):
         model = random_model(rng, p=3, q=0, l=4)
         f = build_fundamental(model, 9, 2).values
-        view = model.view()
-        expect = np.array([[view.ar(1, 8), -1.0],
-                           [view.ar(2, 9), view.ar(1, 9)]])
+        at8, at9 = model.ar[:, 7 % 4], model.ar[:, 8 % 4]  # phi_1..3 at times 8 and 9
+        expect = np.array([[at8[0], -1.0],
+                           [at9[1], at9[0]]])
         assert_allclose(f, expect)
 
     def test_bandwidth_invariant(self, rng):
@@ -110,13 +109,12 @@ class TestFundamentalMatrix:
         for _ in range(30):
             model = random_model(rng, q=0, p=int(rng.integers(0, 7)), l=int(rng.integers(1, 9)))
             order, t = int(rng.integers(1, 12)), int(rng.integers(-20, 20))
-            view = model.view()
             want = np.zeros((order, order))
             for i in range(1, order):
                 want[i - 1, i] = -1.0
             for m in range(min(model.p, order)):
                 for i in range(m + 1, order + 1):
-                    want[i - 1, i - 1 - m] = view.ar(1 + m, t - order + i)
+                    want[i - 1, i - 1 - m] = model.ar[m, (t - order + i - 1) % model.l]
             assert same_bits(build_fundamental(model, t, order).values, want)
 
     def test_deleting_leading_rows_gives_lower_order_matrix(self, rng):
@@ -147,10 +145,9 @@ class TestFundamentalMatrix:
             corner = np.zeros((l, l))
             corner[l - 1, 0] = -1.0
             band = np.zeros((l, l))
-            view = model.view()
             for i in range(1, l + 1):
                 for m in range(i + 1, min(p, l + 2) + 1):
-                    band[i - 1, l - m + i] = view.ar(m, t - l + i)
+                    band[i - 1, l - m + i] = model.ar[m - 1, (t - l + i - 1) % l]
             big = np.zeros((n * l, n * l))
             for b in range(n):
                 big[b * l:(b + 1) * l, b * l:(b + 1) * l] = block
@@ -176,7 +173,7 @@ class TestGreenRecurrence:
         model = random_model(rng, p=3, q=0, l=4)
         t = 11
         table = green_coefficients(model, t, 1)
-        assert table.value(1) == model.view().ar(1, t)
+        assert table.value(1) == model.ar[0, (t - 1) % model.l]
 
     def test_par14_full_period_is_coefficient_product(self):
         a, b, c, d = 0.9, 1.3, -0.7, 0.5
@@ -431,20 +428,30 @@ class TestErrorWeights:
 
 
 class TestKnownInnovationWeights:
+    """The predictor's weights on the ``q`` innovations known at the origin;
+    ``naive_known_weights`` builds them one weight at a time."""
+
     @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
     def test_equals_per_weight_loop(self, rng, l, p, q):
+        # the general solution's noise part from zero initial values, with the
+        # known innovation eps_{t-lead-idx} set to one and every other to zero
         model = random_model(rng, p=p, q=q, l=l)
         for t in (-4, 0, 7):
             for lead in (1, 2, q, q + 3):
                 if lead >= 1:
-                    assert np.array_equal(known_innovation_weights(model, t, lead),
-                                          naive_known_weights(model, t, lead))
+                    want = naive_known_weights(model, t, lead)
+                    for idx in range(q):
+                        eps = np.zeros(lead + q)
+                        eps[q - 1 - idx] = 1.0  # chronological storage
+                        got = general_solution(SolutionInput(
+                            model, origin=t - lead, steps=lead, initial=np.zeros(p),
+                            innovations=eps)).par_noise
+                        assert abs(got - want[idx]) <= 1e-13 * max(1.0, abs(want[idx]))
 
     @pytest.mark.parametrize("l,p,q", TABLE_SHAPES)
     def test_equals_predict_adjustments(self, rng, l, p, q):
-        # independent of the per-weight loop: with the known innovations set to
-        # the unit vector e_idx, predict's adjustment at horizon lead is the
-        # weight on eps_{tau - idx}
+        # with the known innovations set to the unit vector e_idx, predict's
+        # adjustment at horizon lead is the weight on eps_{tau - idx}
         model = random_model(rng, p=p, q=q, l=l)
         horizon = q + 3
         for tau in (-4, 0, 7):
@@ -452,25 +459,27 @@ class TestKnownInnovationWeights:
                 origin = ForecastOrigin(tau, np.zeros(p), np.eye(q)[idx])
                 got = predict(model, origin, horizon).known_adjustments
                 for lead in range(1, horizon + 1):
-                    want = known_innovation_weights(model, tau + lead, lead)[idx]
+                    want = naive_known_weights(model, tau + lead, lead)[idx]
                     assert abs(got[lead - 1] - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_q0_is_empty(self, rng):
         model = random_model(rng, q=0)
-        assert known_innovation_weights(model, 3, 2).size == 0
+        assert naive_known_weights(model, 3, 2).size == 0
+        report = predict(model, ForecastOrigin(1, np.ones(model.p)), 2)
+        assert not report.known_adjustments.any()
 
     def test_single_ma_lag_one_step(self, rng):
         model = random_model(rng, p=2, q=1, l=3)
         t = 5
-        got = known_innovation_weights(model, t, lead=1)
-        assert_allclose(got, [model.view().ma(1, t)])
+        report = predict(model, ForecastOrigin(t - 1, np.zeros(2), [1.0]), 1)
+        assert_allclose(report.known_adjustments, [model.ma[0, (t - 1) % model.l]])
 
     def test_parma12_matches_impulse_propagation(self, rng):
         for _ in range(5):
             model = random_model(rng, p=1, q=2, l=2)
             t = int(rng.integers(0, 4))
             lead = 2
-            got = known_innovation_weights(model, t, lead)
+            got = naive_known_weights(model, t, lead)
             want = [impulse_weight(model, t, r, origin_lead=lead)
                     for r in range(lead, lead + model.q)]
             assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -565,17 +574,14 @@ class TestContractEdges:
         model = random_model(rng, p=1, q=1, l=2)
         with pytest.raises(ValueError, match="horizon"):
             error_weights(model, 0, 0)
-        with pytest.raises(ValueError, match="lead"):
-            known_innovation_weights(model, 0, 0)
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.5, np.float64(3.0)], ids=repr)
     @pytest.mark.parametrize("name,call", [
         ("horizon", lambda model, h: error_weights(model, 0, h)),
-        ("lead", lambda model, h: known_innovation_weights(model, 0, h)),
         ("max_horizon", lambda model, h: predict(
             model, ForecastOrigin(time=0, tail=[1.0], innovations=[0.5]), h)),
         ("max_horizon", lambda model, h: mse_profile(model, 0, h)),
-    ], ids=["error_weights", "known_innovation_weights", "predict", "mse_profile"])
+    ], ids=["error_weights", "predict", "mse_profile"])
     def test_weight_helper_counts_rejected_by_name(self, name, call, bad):
         # a bad count is named as the caller's argument, not as the kernel's max_lag
         model = random_model(np.random.default_rng(3), p=1, q=1, l=2)

@@ -13,7 +13,6 @@ from parma import (
     SeasonClock,
     SimPlan,
     build_vsform,
-    is_constant,
     moment_profile,
     predict,
     simulate,
@@ -47,30 +46,24 @@ class TestSeasonClock:
         (0, 4, (-1, 4)),
     ])
     def test_decompose(self, t, l, expected):
-        clock = SeasonClock(l)
-        assert clock.decompose(t) == expected
+        period, season = expected
+        assert SeasonClock(l).season(t) == season
+        assert period * l + season == t
 
     def test_roundtrip_including_negatives(self, rng):
         for _ in range(200):
             l = int(rng.integers(1, 13))
             t = int(rng.integers(-10_000, 10_000))
             clock = SeasonClock(l)
-            period, season = clock.decompose(t)
+            season = clock.season(t)
             assert 1 <= season <= l
-            assert period * l + season == t
-            assert clock.compose(period, season) == t
+            assert (t - season) % l == 0
+            assert clock.season0(t) == season - 1
             assert clock.season(t) == clock.season(t + l)
 
     def test_rejects_bad_period_length(self):
         with pytest.raises(ValueError, match="period length"):
             SeasonClock(0)
-
-    def test_compose_rejects_out_of_range_season(self):
-        clock = SeasonClock(4)
-        with pytest.raises(ValueError, match="season"):
-            clock.compose(0, 5)
-        with pytest.raises(ValueError, match="season"):
-            clock.compose(0, 0)
 
 
 def refused(**kwargs):
@@ -172,45 +165,22 @@ class TestValidate:
         assert calls == []
 
 
-class TestIsConstant:
-    def test_constant_ar2(self):
-        assert is_constant(PeriodicModel.constant(ar=[0.4, 0.2], l=4))
-
-    def test_varying_par14(self):
-        assert not is_constant(par14(phi=(0.9, 0.8, 0.9, 0.9)))
-
-    def test_single_season_is_vacuously_constant(self):
-        assert is_constant(PeriodicModel.constant(ar=[0.3], ma=[0.1], l=1))
-
-    def test_varying_sigma_only(self):
-        assert not is_constant(par14(phi=(0.5,) * 4, sigma2=(1.0, 2.0, 1.0, 1.0)))
-
-
 class TestCoefficientView:
+    """The season-indexed coefficient arrays, read at time ``t`` in column ``(t - 1) % l``."""
+
     def test_periodicity_is_exact(self, rng):
         model = random_model(rng, p=3, q=2, l=5)
-        view = model.view()
         for t in range(-20, 21):
-            for m in range(1, model.p + 1):
-                assert view.ar(m, t) == view.ar(m, t + model.l)
-                assert view.ar(m, t) == view.ar(m, t - 7 * model.l)
-            for j in range(1, model.q + 1):
-                assert view.ma(j, t) == view.ma(j, t + model.l)
-            assert view.drift(t) == view.drift(t + model.l)
-            assert view.sigma2(t) == view.sigma2(t + model.l)
+            s0, *shifted = (model.clock.season0(u) for u in (t, t + model.l, t - 7 * model.l))
+            for name in ("drift", "ar", "ma", "sigma2"):
+                arr = getattr(model, name)
+                for col in shifted:
+                    assert np.array_equal(arr[..., col], arr[..., s0])
 
     def test_season_lookup_matches_tables(self):
         model = par14()
-        view = model.view()
         # t = 6 is season 2 for l = 4
-        assert view.ar(1, 6) == model.ar[0, 1]
-
-    def test_out_of_range_lag_is_contract_violation(self):
-        view = par14().view()
-        with pytest.raises(IndexError):
-            view.ar(2, 0)
-        with pytest.raises(IndexError):
-            view.ma(1, 0)
+        assert model.ar[0, model.clock.season0(6)] == model.ar[0, 1] == 0.8
 
     def test_arrays_are_read_only(self):
         model = par14()

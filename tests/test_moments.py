@@ -12,7 +12,6 @@ from parma import (
     check_convergence,
     default_truncation,
     green_coefficients,
-    known_innovation_weights,
     moment_profile,
     unconditional_mean,
     unconditional_variance,
@@ -21,8 +20,8 @@ from parma import moments
 from parma.greens import error_weights
 from parma.vsform import build_vsform, stationarity
 
-from conftest import (daily_model, naive_error_weights, random_model, random_stationary_model,
-                      same_bits)
+from conftest import (daily_model, naive_error_weights, naive_known_weights, random_model,
+                      random_stationary_model, same_bits)
 
 
 def par14(product_root):
@@ -338,6 +337,24 @@ class TestUnconditionalVariance:
         assert_allclose(unconditional_variance(model, 1), 125.0 / 84.0, rtol=1e-12)
         assert_allclose(unconditional_variance(model, 2), 41.0 / 21.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("moment", [
+        unconditional_mean, unconditional_variance, lambda m, s: autocovariance(m, s, 2)],
+        ids=["mean", "variance", "autocovariance"])
+    def test_undecayed_at_the_cap_raises(self, moment):
+        # near the unit root the weights outlast the default's 10,000-lag cap,
+        # where the variance would come out 13.5% below 1 / (1 - phi^2)
+        model = PeriodicModel.constant(ar=[0.9999], drift=1.0, l=12)
+        with pytest.raises(NotConvergentError,
+                           match=r"cap 10000 \(rho_hat=0\.9999\); use moment_profile .* truncation"):
+            moment(model, 1)
+        assert default_truncation(model) == 10_000
+
+    def test_explicit_truncation_beyond_decay_keeps_the_sum(self):
+        phi, r_max = 0.9999, 10_000
+        model = PeriodicModel.constant(ar=[phi], l=12)
+        want = (1 - phi ** (2 * r_max + 2)) / (1 - phi ** 2)
+        assert_allclose(unconditional_variance(model, 1, truncation=r_max), want, rtol=1e-9)
+
 
 class TestAutocovariance:
     def test_lag_zero_is_variance(self, rng):
@@ -370,13 +387,12 @@ class TestAutocovariance:
             k = int(rng.integers(1, 10))
             s = int(rng.integers(1, model.l + 1))
             table = green_coefficients(model, s, max(k, 1))
-            view = model.view()
             tau = s - k
             want = table.value(k) * unconditional_variance(model, model.season(tau), trunc)
             for m in range(1, model.p):
                 acc = 0.0
                 for i in range(1, min(model.p - m, k) + 1):  # g is 0 below lag 0
-                    acc += view.ar(m + i, tau + i) * table.value(k - i)
+                    acc += model.ar[m + i - 1, (tau + i - 1) % model.l] * table.value(k - i)
                 want += acc * autocovariance(model, model.season(tau), m, trunc)
             got = autocovariance(model, s, k, trunc)
             assert_allclose(got, want, rtol=1e-6, atol=1e-12)
@@ -393,15 +409,14 @@ class TestAutocovariance:
             s = int(rng.integers(1, 3))
             tau = s - k
             table = green_coefficients(model, s, k)
-            view = model.view()
             want = table.value(k) * unconditional_variance(model, model.season(tau), trunc)
             for m in range(1, model.p):
                 acc = 0.0
                 for i in range(1, min(model.p - m, k) + 1):  # g is 0 below lag 0
-                    acc += view.ar(m + i, tau + i) * table.value(k - i)
+                    acc += model.ar[m + i - 1, (tau + i - 1) % model.l] * table.value(k - i)
                 want += acc * autocovariance(model, model.season(tau), m, trunc)
             w_err = error_weights(model, tau, model.q)
-            w_known = known_innovation_weights(model, s, k)
+            w_known = naive_known_weights(model, s, k)
             sig = model.sigma2[(model.clock.season0(tau) - np.arange(model.q)) % model.l]
             want += float(np.dot(w_err * w_known, sig))
             got = autocovariance(model, s, k, trunc)

@@ -22,7 +22,7 @@ from parma import (
     simulate,
     unconditional_variance,
 )
-from parma.sim import _recurse
+from parma.sim import _recurse, _resolve_burn_in
 
 from conftest import random_model, same_bits
 
@@ -44,6 +44,16 @@ class TestPlanContracts:
         model = PeriodicModel.constant(ar=[0.5], l=4)
         with pytest.raises(ValueError, match="burn_in"):
             simulate(SimPlan(model, length=10, burn_in=5))
+
+    def test_default_burn_in_beyond_the_cap_raises(self):
+        # the zero start takes ~230,000 steps to decay below 1e-10, past the
+        # default's 1000*l cap; an explicit burn_in has no cap
+        model = PeriodicModel.constant(ar=[0.9999], drift=1.0, l=12)
+        with pytest.raises(ValueError, match=r"needs 230256 burn-in steps .* pass burn_in"):
+            simulate(SimPlan(model, length=12))
+        plan = SimPlan(model, length=12, burn_in=24_000)
+        assert _resolve_burn_in(plan) == 24_000
+        assert simulate(plan).y.shape == (12,)
 
     def test_rejects_burn_in_for_explosive(self):
         model = PeriodicModel.constant(ar=[1.5], l=1)

@@ -54,14 +54,14 @@ class TestSpecialCases:
 
     def test_one_step_reproduces_difference_equation(self, rng):
         model = random_model(rng, p=3, q=2)
-        view = model.view()
         inp = random_input(rng, model, steps=1)
         t = inp.origin + 1
-        want = view.drift(t) + inp.eps(t)
+        s0 = (t - 1) % model.l
+        want = model.drift[s0] + inp.eps(t)
         for j in range(1, model.q + 1):
-            want += view.ma(j, t) * inp.eps(t - j)
+            want += model.ma[j - 1, s0] * inp.eps(t - j)
         for m in range(1, model.p + 1):
-            want += view.ar(m, t) * inp.initial[m - 1]
+            want += model.ar[m - 1, s0] * inp.initial[m - 1]
         assert_allclose(general_solution(inp).total, want, rtol=1e-14)
         assert_allclose(direct_recursion(inp), want, rtol=1e-14)
 
@@ -150,20 +150,20 @@ class TestStructure:
                                  p=int(rng.integers(1, 4)))
             steps = int(rng.integers(max(1, model.p), 11))
             inp = random_input(rng, model, steps)
-            view = model.view()
             t = inp.origin + steps
 
             mat = build_fundamental(model, t, steps).values.copy()
             col = np.zeros(steps)
             for m in range(1, steps + 1):
                 u = inp.origin + m
-                col[m - 1] = view.drift(u) + inp.eps(u)
+                s0 = (u - 1) % model.l
+                col[m - 1] = model.drift[s0] + inp.eps(u)
                 for j in range(1, model.q + 1):
-                    col[m - 1] += view.ma(j, u) * inp.eps(u - j)
+                    col[m - 1] += model.ma[j - 1, s0] * inp.eps(u - j)
                 if m <= model.p:
                     h_m = 0.0
                     for j in range(m, model.p + 1):
-                        h_m += view.ar(model.p - j + m, u) * inp.initial[model.p - j]
+                        h_m += model.ar[model.p - j + m - 1, s0] * inp.initial[model.p - j]
                     col[m - 1] += h_m
             mat[:, 0] = col
             assert_allclose(np.linalg.det(mat), general_solution(inp).total,

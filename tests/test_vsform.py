@@ -92,16 +92,15 @@ class TestBuild:
         eps = rng.normal(size=(vs.ma_order + 1, 2))  # periods T, T-1, ...
 
         def eps_at(t):  # period 0 holds times 1..l, period -1 times 1-l..0
-            period, season = model.clock.decompose(t)
-            return eps[-period][season - 1]
+            season = model.season(t)
+            return eps[(season - t) // model.l][season - 1]
 
         stacked = vs.theta0 @ eps[0]
         for n in range(vs.ma_order):
             stacked = stacked - vs.theta[n] @ eps[n + 1]
-        view = model.view()
         for s in (1, 2):
             univariate = eps_at(s) - sum(
-                view.ma(j, s) * eps_at(s - j) for j in range(1, 4))
+                model.ma[j - 1, s - 1] * eps_at(s - j) for j in range(1, 4))
             assert_allclose(stacked[s - 1], univariate, rtol=1e-12)
 
 
